@@ -18,11 +18,7 @@ class ModeMismatchError(ConfigError):
 
 
 class NumericError(RuntimeError):
-    """Numerical failure: non-convergence, non-finite loss or gradient."""
-
-    def __init__(self, message, iterations=None):
-        super().__init__(message)
-        self.iterations = iterations
+    """Numerical failure: non-finite loss or gradient."""
 
 
 class FormatError(ValueError):

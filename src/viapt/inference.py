@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigError, ModeMismatchError
 from .numerics import RngState
 from .numerics.rng import gaussian_block
-from .prompt_engine import DirectGeneratorParams, FrozenForward, GeneratorParams  # noqa: F401
+from .prompt_engine import FrozenForward
 from .training import PromptModel
 
 STRATEGIES = ("multi_round", "fixed_sampling", "direct")
@@ -80,9 +80,11 @@ def _as_image_batch(image):
 def predict_multi_round(image, model: PromptModel, rounds: int, rng: RngState) -> np.ndarray:
     """Average class probabilities over R stochastic forwards.
 
-    Round r reads the image's noise stream at counter offset r * lam * d, so
-    rounds are reproducible and independent of evaluation order. Averaging is
-    in probability space; if every round produced identical probabilities the
+    Noise streams are keyed by position in the batch: round r of image b
+    reads the stream at counter offset (b * R + r) * lam * d, so no two
+    (image, round) pairs share noise and image b matches image b alone at
+    counter offset b * R * lam * d up to float rounding. Averaging is in
+    probability space; if every round produced identical probabilities the
     average is returned bitwise-equal to a single round.
     """
     if rounds < 1:
@@ -94,10 +96,9 @@ def predict_multi_round(image, model: PromptModel, rounds: int, rng: RngState) -
         probs = _forward_probs(model, images)
         return probs[0] if single else probs
     dtype = model.backbone.patch_w.data.dtype
-    per_round = []
-    for r in range(rounds):
-        z = rng.at(rng.counter + r * lam * d).gaussian((images.shape[0], lam, d), dtype=dtype)
-        per_round.append(_forward_probs(model, images, FrozenForward(noise=z)))
+    z = rng.clone().gaussian((images.shape[0], rounds, lam, d), dtype=dtype)
+    per_round = [_forward_probs(model, images, FrozenForward(noise=z[:, r]))
+                 for r in range(rounds)]
     first = per_round[0]
     if all(np.array_equal(pr, first) for pr in per_round[1:]):
         probs = first

@@ -18,8 +18,7 @@ import numpy as np
 from . import numerics as nm
 from .backbone import BackboneParams, ViTConfig, head, initial_sequence, layer_forward
 from .errors import ConfigError, DimensionError
-from .numerics import RngState, Tensor, jacobi_svd_batch, svd_topk
-from .numerics.svd import complete_orthonormal_columns
+from .numerics import RngState, Tensor
 
 MODES = (
     "viapt",
@@ -291,13 +290,37 @@ def kl_to_standard_normal(mu, logvar):
 # PCA propagation
 # --------------------------------------------------------------------------
 
-def _rank_threshold(s0: float, p: int, d: int, dtype) -> float:
-    return s0 * max(p, d) * np.finfo(dtype).eps
+def _pca_basis(centered: np.ndarray, m: int):
+    """Top-m principal directions of centered prompt blocks (B, p, d).
+
+    One LAPACK SVD per block, so a block's result is independent of its
+    batch neighbours. Returns (s, basis, proj): singular values (B, min(p, d))
+    in descending order; basis (B, d, m), the leading right singular vectors,
+    each signed so its largest-magnitude entry is positive, completed past the
+    rank by the rest of the full V; proj, the basis with every column whose
+    singular value is at or below s0 * max(p, d) * eps zeroed. A block with a
+    non-finite entry comes back as NaN in all three.
+    """
+    _, p, d = centered.shape
+    bad = ~np.isfinite(centered).all(axis=(1, 2))
+    if bad.any():
+        centered = np.where(bad[:, None, None], 0.0, centered)
+    _, s, vh = np.linalg.svd(centered, full_matrices=True)
+    rows = vh[:, :m]
+    lead = np.take_along_axis(rows, np.argmax(np.abs(rows), axis=-1)[..., None], axis=-1)
+    basis = np.swapaxes(rows * np.sign(lead), -1, -2)
+    keep = min(m, s.shape[-1])
+    live = np.zeros((len(s), m), dtype=bool)
+    live[:, :keep] = s[:, :keep] > s[:, :1] * max(p, d) * np.finfo(s.dtype).eps
+    proj = np.ascontiguousarray(np.where(live[:, None], basis, 0.0))
+    if bad.any():
+        s[bad], basis[bad], proj[bad] = np.nan, np.nan, np.nan
+    return s, basis, proj
 
 
 def pca_project(z, m: int) -> PcaProjection:
     """Center a prompt block (p, d) by its token mean and project onto the
-    top-m variance directions.
+    top-m variance directions; the single-block case of _pca_basis.
 
     The basis and mean are constants for differentiation; gradients flow
     through the coordinate matmul only. Coordinate columns beyond the
@@ -312,19 +335,12 @@ def pca_project(z, m: int) -> PcaProjection:
         raise ConfigError("pca_project needs at least one token")
     mean = z_t.data.mean(axis=0)
     centered = z_t.data - mean
-    c = min(p, d)
-    _, s, v = svd_topk(centered, min(m, c))
-    if s.size and s[0] > 0.0:
-        r_eff = int((s > _rank_threshold(s[0], p, d, centered.dtype)).sum())
-    else:
-        r_eff = 0
-    basis = complete_orthonormal_columns(v[:, :r_eff], m) if m > r_eff else v[:, :m]
-    proj = basis.copy()
-    proj[:, r_eff:] = 0.0
+    s, basis, proj = (a[0] for a in _pca_basis(centered[None], m))
     coords = nm.matmul(nm.add(z_t, nm.constant(-mean, dtype=mean.dtype)),
                        nm.constant(proj, dtype=proj.dtype))
     total = float((centered * centered).sum())
-    retained = float((s[: min(m, r_eff)] ** 2).sum())
+    rank = int(proj.any(axis=0).sum())
+    retained = float((s[:rank] ** 2).sum())
     fraction = 1.0 if total == 0.0 else retained / total
     return PcaProjection(mean=mean, basis=basis, coords=coords, retained_variance=fraction)
 
@@ -337,7 +353,6 @@ def _batched_pca_coords(z_t: Tensor, m: int, basis_override: np.ndarray | None =
     instance (random-projection ablation). frozen_stats replays captured
     (mean, projection) pairs; capture appends them.
     """
-    bsz, p, d = z_t.data.shape
     if frozen_stats is not None:
         mean, proj = frozen_stats
     else:
@@ -345,17 +360,7 @@ def _batched_pca_coords(z_t: Tensor, m: int, basis_override: np.ndarray | None =
         if basis_override is not None:
             proj = basis_override
         else:
-            centered = z_t.data - mean
-            _, s, v = jacobi_svd_batch(centered)
-            c = v.shape[-1]
-            keep = min(m, c)
-            proj = np.ascontiguousarray(v[:, :, :keep])
-            thresh = _rank_threshold(1.0, p, d, centered.dtype) * s[:, 0]
-            dead = s[:, :keep] <= thresh[:, None]
-            proj[np.broadcast_to(dead[:, None, :], proj.shape)] = 0.0
-            if keep < m:
-                pad = np.zeros((bsz, d, m - keep), dtype=proj.dtype)
-                proj = np.concatenate([proj, pad], axis=-1)
+            _, _, proj = _pca_basis(z_t.data - mean, m)
     if capture is not None:
         capture.append((mean, proj))
     centered_t = nm.add(z_t, nm.constant(-mean, dtype=z_t.data.dtype))

@@ -68,13 +68,10 @@ class TrainConfig:
         if self.precision not in ("f32", "f64"):
             raise ConfigError(f"precision must be f32 or f64, got {self.precision}")
 
-    @property
-    def dtype(self):
-        return np.float32 if self.precision == "f32" else np.float64
-
 
 def dtype_for(precision: str):
-    return np.float32 if precision == "f32" else np.float64
+    """numpy dtype of a precision name; KeyError for anything but f32/f64."""
+    return {"f32": np.float32, "f64": np.float64}[precision]
 
 
 # --------------------------------------------------------------------------
@@ -357,20 +354,26 @@ def save_checkpoint(state: TrainState, path) -> None:
 
 
 def load_checkpoint(path, expect_precision: str | None = None) -> TrainState:
+    """Inverse of save_checkpoint. Metadata that is missing a key or carries
+    an unknown config field raises FormatError."""
     tensors, metadata = load_archive(path)
-    precision = metadata.get("precision")
-    if expect_precision is not None and precision != expect_precision:
-        raise FormatError(
-            f"precision mismatch: archive is {precision}, run wants {expect_precision}"
-        )
-    rng_meta = metadata["rng"]
-    if rng_meta["algorithm"] != ALGORITHM_ID:
-        raise FormatError(f"unknown rng algorithm '{rng_meta['algorithm']}'")
-    cfg = metadata["config"]
-    vit = ViTConfig(**cfg["vit"])
-    pcfg = PromptConfig(**cfg["prompt"])
-    tcfg = TrainConfig(**cfg["train"]) if cfg.get("train") else None
-    dtype = dtype_for(precision)
+    try:
+        precision = metadata.get("precision")
+        if expect_precision is not None and precision != expect_precision:
+            raise FormatError(
+                f"precision mismatch: archive is {precision}, run wants {expect_precision}"
+            )
+        rng_meta = metadata["rng"]
+        if rng_meta["algorithm"] != ALGORITHM_ID:
+            raise FormatError(f"unknown rng algorithm '{rng_meta['algorithm']}'")
+        rng = RngState(rng_meta["seed"], rng_meta["counter"], rng_meta["algorithm"])
+        cfg = metadata["config"]
+        vit = ViTConfig(**cfg["vit"])
+        pcfg = PromptConfig(**cfg["prompt"])
+        tcfg = TrainConfig(**cfg["train"]) if cfg.get("train") else None
+        dtype = dtype_for(precision)
+    except (KeyError, TypeError, AttributeError) as e:
+        raise FormatError(f"malformed checkpoint metadata: {e!r}") from e
     backbone = init_backbone(vit, RngState(0), dtype=dtype)
     backbone.freeze()
     model = build_model(vit, pcfg, RngState(0), backbone, dtype=dtype)
@@ -394,7 +397,6 @@ def load_checkpoint(path, expect_precision: str | None = None) -> TrainState:
     missing = [n for n in expected if n not in tensors]
     if missing:
         raise FormatError(f"archive missing tensors: {missing[:4]}")
-    rng = RngState(rng_meta["seed"], rng_meta["counter"], rng_meta["algorithm"])
     return TrainState(model=model, opt=opt, rng=rng, step=metadata.get("step", 0),
                       train_cfg=tcfg)
 
@@ -410,16 +412,20 @@ def save_backbone(backbone: BackboneParams, vit: ViTConfig, path, extra_meta=Non
 
 
 def load_backbone(path, expect_precision: str | None = None):
+    """Inverse of save_backbone; malformed metadata raises FormatError."""
     tensors, metadata = load_archive(path)
-    if metadata.get("kind") != "backbone":
-        raise FormatError("archive is not a backbone checkpoint")
-    precision = metadata.get("precision")
-    if expect_precision is not None and precision != expect_precision:
-        raise FormatError(
-            f"precision mismatch: archive is {precision}, run wants {expect_precision}"
-        )
-    vit = ViTConfig(**metadata["config"]["vit"])
-    dtype = dtype_for(precision)
+    try:
+        if metadata.get("kind") != "backbone":
+            raise FormatError("archive is not a backbone checkpoint")
+        precision = metadata.get("precision")
+        if expect_precision is not None and precision != expect_precision:
+            raise FormatError(
+                f"precision mismatch: archive is {precision}, run wants {expect_precision}"
+            )
+        vit = ViTConfig(**metadata["config"]["vit"])
+        dtype = dtype_for(precision)
+    except (KeyError, TypeError, AttributeError) as e:
+        raise FormatError(f"malformed backbone metadata: {e!r}") from e
     backbone = init_backbone(vit, RngState(0), dtype=dtype)
     for name, t in backbone.named_tensors():
         if name not in tensors:
@@ -436,6 +442,18 @@ def _batches(n: int, batch_size: int, order=None):
     idx = np.arange(n) if order is None else order
     for start in range(0, n, batch_size):
         yield idx[start : start + batch_size]
+
+
+def _apply_gradients(params: dict, opt: OptimizerState, lr_t: float, cfg: TrainConfig):
+    """Clip the global gradient norm to cfg.clip_norm, take one AdamW step
+    and clear the gradients."""
+    grads = {name: t.grad for name, t in params.items() if t.grad is not None}
+    gnorm = global_grad_norm(grads)
+    if gnorm > cfg.clip_norm:
+        s = cfg.clip_norm / gnorm
+        grads = {k: g * s for k, g in grads.items()}
+    optimizer_step(params, grads, opt, lr_t, cfg.weight_decay)
+    nm.zero_grads(params.values())
 
 
 def _evaluate_split(model: PromptModel, images, labels, batch_size: int, beta: float,
@@ -484,7 +502,7 @@ def train(cfg: TrainConfig, pcfg: PromptConfig, data: dict, backbone: BackbonePa
     """
     import time
 
-    dtype = cfg.dtype
+    dtype = dtype_for(cfg.precision)
     backbone.freeze()
     init_rng = RngState(cfg.seed).derive("init")
     model = build_model(vit, pcfg, init_rng, backbone, dtype=dtype)
@@ -535,13 +553,7 @@ def train(cfg: TrainConfig, pcfg: PromptConfig, data: dict, backbone: BackbonePa
                 ref = f" last good checkpoint: {last_good}" if last_good else ""
                 raise NumericError(f"non-finite loss at step {step};{ref}")
             nm.backward(total)
-            grads = {name: t.grad for name, t in trainable.items() if t.grad is not None}
-            gnorm = global_grad_norm(grads)
-            if gnorm > cfg.clip_norm:
-                s = cfg.clip_norm / gnorm
-                grads = {k: g * s for k, g in grads.items()}
-            optimizer_step(trainable, grads, opt, lr_t, cfg.weight_decay)
-            nm.zero_grads(trainable.values())
+            _apply_gradients(trainable, opt, lr_t, cfg)
             ep_sums += np.array([xent.data, kl.data, total.data], dtype=np.float64) * len(sel)
             ep_correct += int((np.argmax(logits.data, axis=-1) == train_y[sel]).sum())
         state.step = step
@@ -583,7 +595,7 @@ def check_frozen_invariant(model: PromptModel, fingerprint: dict) -> bool:
 def pretrain_backbone(vit: ViTConfig, data: dict, cfg: TrainConfig) -> BackboneParams:
     """Train every backbone tensor (no prompts) on the pretext labels, then
     freeze. All prompt methods share the resulting checkpoint."""
-    dtype = cfg.dtype
+    dtype = dtype_for(cfg.precision)
     backbone = init_backbone(vit, RngState(cfg.seed).derive("pretrain-init"), dtype=dtype)
     backbone.unfreeze_all()
     train_x, train_y = data["train"]
@@ -607,12 +619,6 @@ def pretrain_backbone(vit: ViTConfig, data: dict, cfg: TrainConfig) -> BackboneP
             if not np.isfinite(total.data):
                 raise NumericError(f"non-finite pretraining loss at step {step}")
             nm.backward(total)
-            grads = {name: t.grad for name, t in named.items() if t.grad is not None}
-            gnorm = global_grad_norm(grads)
-            if gnorm > cfg.clip_norm:
-                s = cfg.clip_norm / gnorm
-                grads = {k: g * s for k, g in grads.items()}
-            optimizer_step(named, grads, opt, lr_t, cfg.weight_decay)
-            nm.zero_grads(named.values())
+            _apply_gradients(named, opt, lr_t, cfg)
     backbone.freeze()
     return backbone

@@ -2,7 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +28,9 @@ from viapt.harness import (
     write_dataset,
     write_sweep_csv,
 )
+from viapt.numerics import ALGORITHM_ID
 from viapt.prompt_engine import PromptConfig
-from viapt.training import TrainConfig
+from viapt.training import TrainConfig, save_archive
 
 
 def file_hash(path):
@@ -282,11 +283,22 @@ def test_cli_unknown_config_key_exits_2(tmp_path):
     assert "bogus" in proc.stderr
 
 
-def test_cli_bad_checkpoint_exits_4(tmp_path):
-    junk = tmp_path / "junk.ckpt"
-    junk.write_bytes(b"garbage")
-    proc = run_cli("eval", "--checkpoint", str(junk), "--out", str(tmp_path / "o"))
+@pytest.mark.parametrize("metadata", [
+    None,
+    {},
+    {"config": {"vit": asdict(ViTConfig()), "prompt": {**asdict(PromptConfig()), "bogus": 1},
+                "train": None},
+     "rng": {"algorithm": ALGORITHM_ID, "seed": 0, "counter": 0}, "precision": "f32"},
+], ids=["garbage", "empty_metadata", "unknown_prompt_field"])
+def test_cli_bad_checkpoint_exits_4(tmp_path, metadata):
+    bad = tmp_path / "bad.ckpt"
+    if metadata is None:
+        bad.write_bytes(b"garbage")
+    else:  # a valid CRC around malformed metadata
+        save_archive(bad, {}, metadata)
+    proc = run_cli("eval", "--checkpoint", str(bad), "--out", str(tmp_path / "o"))
     assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_gen_data_deterministic(tmp_path):

@@ -84,6 +84,19 @@ def test_round_counter_offsets_partition(tiny_vit):
     assert np.allclose(p_r2, (pa + pb) / 2.0, atol=1e-7)
 
 
+def test_batch_position_keys_disjoint_streams(tiny_vit):
+    # image b's rounds start at counter c + b*R*lam*d, so each image of a
+    # batch matches that image alone read from its own offset
+    model = small_model(tiny_vit)
+    imgs = RNG.standard_normal((2, 1, 8, 8)).astype(np.float32)
+    rounds, lamd, c = 3, 2 * 8, 5
+    both = predict_multi_round(imgs, model, rounds, RngState(9, counter=c))
+    for b in range(2):
+        alone = predict_multi_round(imgs[b], model, rounds,
+                                    RngState(9, counter=c + b * rounds * lamd))
+        assert np.abs(both[b] - alone).max() < 1e-6
+
+
 def test_lambda_zero_collapses_all_strategies(tiny_vit):
     model = small_model(tiny_vit, lam=0)
     img = RNG.standard_normal((1, 8, 8)).astype(np.float32)

@@ -352,6 +352,17 @@ def test_backbone_checkpoint_round_trip(tiny_vit, tmp_path):
         assert n1 == n2 and np.array_equal(t1.data, t2.data)
 
 
+@pytest.mark.parametrize("metadata", [
+    {"kind": "backbone"},
+    {"kind": "backbone", "precision": "f32", "config": {"vit": {"bogus": 1}}},
+    {"kind": "backbone", "precision": "f16", "config": {"vit": {}}},
+], ids=["no_config", "unknown_vit_field", "unknown_precision"])
+def test_malformed_backbone_metadata_rejected(tmp_path, metadata):
+    save_archive(tmp_path / "bb.ckpt", {}, metadata)
+    with pytest.raises(FormatError, match="malformed"):
+        load_backbone(tmp_path / "bb.ckpt")
+
+
 def test_rng_state_persisted_in_checkpoint(tiny_vit, tmp_path):
     bb = small_run_setup(tiny_vit)
     cfg = TrainConfig(epochs=1, warmup_epochs=0, batch_size=16, seed=7)
