@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ModeMismatchError
-from .numerics import RngState
+from .numerics import RngState, no_grad
 from .numerics.rng import gaussian_block
 from .prompt_engine import FrozenForward
 from .training import PromptModel
@@ -55,7 +55,8 @@ def _softmax_np(logits: np.ndarray) -> np.ndarray:
 
 
 def _forward_probs(model: PromptModel, images: np.ndarray, frozen=None) -> np.ndarray:
-    logits, _, _ = model.forward(images, rng=None, frozen=frozen)
+    with no_grad():
+        logits, _, _ = model.forward(images, rng=None, frozen=frozen)
     return _softmax_np(logits.data)
 
 
@@ -135,8 +136,12 @@ def evaluate_dataset(model: PromptModel, images, labels, cfg: InferenceConfig,
                      batch_size: int = 64):
     """Whole-split evaluation; returns (summary dict, per-image records).
 
-    multi_round derives one noise stream per image index from the configured
-    seed, so results are independent of batch size and evaluation order.
+    multi_round derives one noise stream per image from the configured seed
+    and the image's position in the split. Batch size therefore changes
+    results only by float rounding (about 1e-7 in f32), but reordering the
+    split hands each image different noise and changes its multi_round
+    probabilities. fixed_sampling and direct depend on neither beyond
+    rounding.
     """
     images = np.asarray(images, dtype=model.backbone.patch_w.data.dtype)
     labels = np.asarray(labels)

@@ -1,15 +1,23 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
 A Tensor wraps an ndarray and optionally records how it was produced
-(parents + a backward rule). Calling backward() on a scalar loss sweeps the
-tape in reverse topological order and accumulates gradients. Leaves that are
-neither trainable nor explicitly marked with retain_grad receive no gradient
-storage, so frozen parameters stay untouched.
+(parents + a backward rule). A tensor requires a gradient if it is trainable
+or was made by a recorded node. Whether an op is recorded is decided once,
+when it runs: if none of its operands requires a gradient, or recording is
+switched off by no_grad(), the op returns a plain leaf with no parents and
+no backward rule, so a frozen subgraph leaves no tape behind.
+
+Calling backward() on a scalar loss sweeps the tape in reverse topological
+order. A rule with several operands computes the gradient of only those
+operands that require one; an interior gradient is dropped as soon as its
+node's rule has run, and only trainable leaves keep one in .grad.
 
 All ops broadcast over leading batch axes; gradients of broadcast operands
 are summed back to the operand's shape.
 """
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -18,15 +26,29 @@ from ..errors import ConfigError, DimensionError
 _SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 _GELU_CUBIC = 0.044715
 
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Record no tape inside the block: every op returns a plain leaf, so
+    activations are freed as soon as nothing else refers to them. Recording
+    is restored on exit, also when the block raises."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
 
 class Tensor:
-    __slots__ = ("data", "grad", "trainable", "retain_grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "trainable", "name", "_parents", "_backward")
 
     def __init__(self, data, trainable=False, name=None, _parents=(), _backward=None):
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data)
         self.grad = None
         self.trainable = trainable
-        self.retain_grad = False
         self.name = name
         self._parents = _parents
         self._backward = _backward
@@ -38,6 +60,11 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
+
+    @property
+    def requires_grad(self) -> bool:
+        """Trainable, or made by a recorded node."""
+        return self.trainable or self._backward is not None
 
     def __repr__(self):
         tag = " trainable" if self.trainable else ""
@@ -90,7 +117,9 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 
 def _node(data, parents, backward) -> Tensor:
-    return Tensor(data, _parents=parents, _backward=backward)
+    if _recording and any(p.requires_grad for p in parents):
+        return Tensor(data, _parents=parents, _backward=backward)
+    return Tensor(data)
 
 
 # --------------------------------------------------------------------------
@@ -101,8 +130,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
     def bwd(g, acc):
-        acc(a, _unbroadcast(g, a.data.shape))
-        acc(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            acc(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            acc(b, _unbroadcast(g, b.data.shape))
 
     return _node(out_data, (a, b), bwd)
 
@@ -115,8 +146,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
     def bwd(g, acc):
-        acc(a, _unbroadcast(g * b.data, a.data.shape))
-        acc(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            acc(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            acc(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _node(out_data, (a, b), bwd)
 
@@ -135,7 +168,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def bwd(g, acc):
-        acc(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        if a.requires_grad:
+            acc(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        if not b.requires_grad:
+            return
         if b.data.ndim == 2 and a.data.ndim > 2:
             # batched activations against a shared weight: fold the batch
             # into one GEMM instead of summing a stack of products
@@ -206,12 +242,15 @@ def layernorm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
 
     def bwd(g, acc):
         reduce_axes = tuple(range(g.ndim - 1))
-        acc(beta, g.sum(axis=reduce_axes))
-        acc(gamma, (g * xhat).sum(axis=reduce_axes))
-        dxhat = g * gamma.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        acc(a, inv * (dxhat - m1 - xhat * m2))
+        if beta.requires_grad:
+            acc(beta, g.sum(axis=reduce_axes))
+        if gamma.requires_grad:
+            acc(gamma, (g * xhat).sum(axis=reduce_axes))
+        if a.requires_grad:
+            dxhat = g * gamma.data
+            m1 = dxhat.mean(axis=-1, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            acc(a, inv * (dxhat - m1 - xhat * m2))
 
     return _node(out_data, (a, gamma, beta), bwd)
 
@@ -238,9 +277,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     out_data = out_data + b.data.reshape(1, cout, 1, 1)
 
     def bwd(g, acc):
-        acc(b, g.sum(axis=(0, 2, 3)))
+        if b.requires_grad:
+            acc(b, g.sum(axis=(0, 2, 3)))
         gflat = g.transpose(0, 2, 3, 1).reshape(bs * oh * ow, cout)
-        acc(w, (gflat.T @ cols2).reshape(w.data.shape))
+        if w.requires_grad:
+            acc(w, (gflat.T @ cols2).reshape(w.data.shape))
+        if not x.requires_grad:
+            return
         dcols = (gflat @ wflat).reshape(bs, oh, ow, cin, kh, kw)
         dxp = np.zeros_like(xp)
         for dy in range(kh):
@@ -303,6 +346,8 @@ def concat(tensors, axis: int) -> Tensor:
 
     def bwd(g, acc):
         for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+            if not t.requires_grad:
+                continue
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(start, stop)
             acc(t, g[tuple(idx)])
@@ -383,39 +428,33 @@ def _toposort(root: Tensor):
 def backward(loss: Tensor) -> dict:
     """Reverse topological sweep from a scalar loss.
 
-    Returns a map {tensor: gradient array} over the trainable tensors reached;
-    also populates .grad on trainable / retain_grad tensors and on interior
-    nodes (pass-through). Frozen leaves get no gradient storage.
+    Accumulates into .grad of every trainable leaf reached and returns a map
+    {tensor: gradient array} over them. Each interior gradient is dropped
+    once its node's rule has run, so no interior node carries .grad and
+    frozen tensors never get one.
     """
     if loss.data.size != 1:
         raise ConfigError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    order = _toposort(loss)
 
     def acc(t: Tensor, g: np.ndarray):
-        if t._backward is None and not (t.trainable or t.retain_grad):
-            return
         key = id(t)
         if key in grads:
             grads[key] = grads[key] + g
         else:
             grads[key] = g
 
-    for node in reversed(order):
-        g = grads.get(id(node))
+    out = {}
+    # a node follows all of its consumers in this order, so its gradient is
+    # complete when it is reached
+    for node in reversed(_toposort(loss)):
+        g = grads.pop(id(node), None)
         if g is None:
             continue
         if node._backward is not None:
             node._backward(g, acc)
-
-    out = {}
-    for node in order:
-        g = grads.get(id(node))
-        if g is None:
-            continue
-        if node.trainable or node.retain_grad or node._backward is not None:
+        elif node.trainable:
             node.grad = g if node.grad is None else node.grad + g
-        if node.trainable:
             out[node] = node.grad
     return out
 

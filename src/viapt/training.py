@@ -354,8 +354,9 @@ def save_checkpoint(state: TrainState, path) -> None:
 
 
 def load_checkpoint(path, expect_precision: str | None = None) -> TrainState:
-    """Inverse of save_checkpoint. Metadata that is missing a key or carries
-    an unknown config field raises FormatError."""
+    """Inverse of save_checkpoint. Metadata that is missing a key, carries an
+    unknown config field or holds a config value that fails validation
+    raises FormatError."""
     tensors, metadata = load_archive(path)
     try:
         precision = metadata.get("precision")
@@ -369,10 +370,10 @@ def load_checkpoint(path, expect_precision: str | None = None) -> TrainState:
         rng = RngState(rng_meta["seed"], rng_meta["counter"], rng_meta["algorithm"])
         cfg = metadata["config"]
         vit = ViTConfig(**cfg["vit"])
-        pcfg = PromptConfig(**cfg["prompt"])
+        pcfg = PromptConfig(**cfg["prompt"]).resolved(vit.embed_dim)
         tcfg = TrainConfig(**cfg["train"]) if cfg.get("train") else None
         dtype = dtype_for(precision)
-    except (KeyError, TypeError, AttributeError) as e:
+    except (KeyError, TypeError, AttributeError, ConfigError) as e:
         raise FormatError(f"malformed checkpoint metadata: {e!r}") from e
     backbone = init_backbone(vit, RngState(0), dtype=dtype)
     backbone.freeze()
@@ -412,7 +413,8 @@ def save_backbone(backbone: BackboneParams, vit: ViTConfig, path, extra_meta=Non
 
 
 def load_backbone(path, expect_precision: str | None = None):
-    """Inverse of save_backbone; malformed metadata raises FormatError."""
+    """Inverse of save_backbone; malformed or invalid metadata raises
+    FormatError."""
     tensors, metadata = load_archive(path)
     try:
         if metadata.get("kind") != "backbone":
@@ -424,7 +426,7 @@ def load_backbone(path, expect_precision: str | None = None):
             )
         vit = ViTConfig(**metadata["config"]["vit"])
         dtype = dtype_for(precision)
-    except (KeyError, TypeError, AttributeError) as e:
+    except (KeyError, TypeError, AttributeError, ConfigError) as e:
         raise FormatError(f"malformed backbone metadata: {e!r}") from e
     backbone = init_backbone(vit, RngState(0), dtype=dtype)
     for name, t in backbone.named_tensors():
@@ -463,8 +465,9 @@ def _evaluate_split(model: PromptModel, images, labels, batch_size: int, beta: f
     sums = np.zeros(3, dtype=np.float64)
     correct = 0
     for sel in _batches(n, batch_size):
-        logits, mu, logvar = model.forward(images[sel], rng=None, frozen=frozen)
-        total, xent, kl = loss(logits, labels[sel], mu, logvar, beta)
+        with nm.no_grad():
+            logits, mu, logvar = model.forward(images[sel], rng=None, frozen=frozen)
+            total, xent, kl = loss(logits, labels[sel], mu, logvar, beta)
         sums += np.array([xent.data, kl.data, total.data], dtype=np.float64) * len(sel)
         correct += int((np.argmax(logits.data, axis=-1) == labels[sel]).sum())
     sums /= max(n, 1)

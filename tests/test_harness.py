@@ -289,7 +289,14 @@ def test_cli_unknown_config_key_exits_2(tmp_path):
     {"config": {"vit": asdict(ViTConfig()), "prompt": {**asdict(PromptConfig()), "bogus": 1},
                 "train": None},
      "rng": {"algorithm": ALGORITHM_ID, "seed": 0, "counter": 0}, "precision": "f32"},
-], ids=["garbage", "empty_metadata", "unknown_prompt_field"])
+    {"config": {"vit": {**asdict(ViTConfig()), "heads": 5}, "prompt": asdict(PromptConfig()),
+                "train": None},
+     "rng": {"algorithm": ALGORITHM_ID, "seed": 0, "counter": 0}, "precision": "f32"},
+    {"config": {"vit": asdict(ViTConfig()), "prompt": {**asdict(PromptConfig()), "retained_dims": 99},
+                "train": None},
+     "rng": {"algorithm": ALGORITHM_ID, "seed": 0, "counter": 0}, "precision": "f32"},
+], ids=["garbage", "empty_metadata", "unknown_prompt_field", "invalid_vit_heads",
+        "retained_dims_beyond_embed_dim"])
 def test_cli_bad_checkpoint_exits_4(tmp_path, metadata):
     bad = tmp_path / "bad.ckpt"
     if metadata is None:

@@ -199,6 +199,30 @@ def test_direct_generator_parameter_count_difference(tiny_vit):
     assert direct["generator_params"] - prob["generator_params"] == expect_diff
 
 
+# Batch size changes only the BLAS blocking of each forward, so results agree
+# up to f32 rounding: at most 9e-8 was measured at desk geometry. The bound is
+# about 8 f32 epsilons.
+BATCH_SIZE_TOL = 1e-6
+
+
+@pytest.mark.parametrize("strategy,mode", [("multi_round", "viapt"),
+                                           ("fixed_sampling", "viapt"),
+                                           ("direct", "direct_generation")])
+def test_evaluation_independent_of_batch_size(desk_vit, strategy, mode):
+    model = small_model(desk_vit, mode=mode)
+    n = 70  # one full batch of 64 plus a ragged one
+    images = RNG.standard_normal((n, 1, 16, 16)).astype(np.float32)
+    labels = RNG.integers(0, desk_vit.classes, n)
+    icfg = InferenceConfig(strategy=strategy, rounds=3, noise_seed=7)
+    probs = {}
+    for bs in (1, 7, 64):
+        _, records = evaluate_dataset(model, images, labels, icfg, batch_size=bs)
+        assert [r["image"] for r in records] == list(range(n))
+        probs[bs] = np.array([r["probabilities"] for r in records])
+    for bs in (1, 7):
+        assert np.abs(probs[bs] - probs[64]).max() <= BATCH_SIZE_TOL
+
+
 def test_evaluate_dataset_records_schema(trained_setup):
     model, data = trained_setup
     x, y = data["val"]

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 import viapt.numerics as nm
+from viapt.backbone import embed_patches
 from viapt.errors import ConfigError, DimensionError
+from viapt.numerics import RngState
+from viapt.training import loss
 
 from oracles import conv2d_loops, matmul_loops
 
@@ -264,3 +267,102 @@ def test_gradient_shape_matches_value_shape():
     a = t64(RNG.standard_normal((2, 5)), True)
     gmap = nm.backward(nm.sum_(nm.gelu(a)))
     assert gmap[a].shape == a.data.shape
+
+
+# -- requires-grad propagation and no_grad --------------------------------------
+
+def _operands_passed_to_acc(node):
+    """Ids of the operands a node's backward rule hands a gradient to."""
+    seen = []
+    node._backward(np.ones_like(node.data), lambda t, g: seen.append(id(t)))
+    return seen
+
+
+def _tape(root):
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+def test_matmul_skips_frozen_weight_gradient():
+    x = t64(RNG.standard_normal((2, 3, 4)), True)
+    w = t64(RNG.standard_normal((4, 5)))
+    assert _operands_passed_to_acc(nm.matmul(x, w)) == [id(x)]
+    v = t64(np.eye(5), True)
+    assert _operands_passed_to_acc(nm.matmul(w, v)) == [id(v)]
+
+
+def test_conv2d_on_frozen_input_skips_input_gradient():
+    x = t64(RNG.standard_normal((2, 2, 4, 4)))
+    w = t64(RNG.standard_normal((3, 2, 3, 3)), True)
+    b = t64(RNG.standard_normal(3), True)
+    assert sorted(_operands_passed_to_acc(nm.conv2d(x, w, b, 1, 1))) == sorted([id(w), id(b)])
+
+
+@pytest.mark.parametrize("op", ["add", "mul", "layernorm", "concat"])
+def test_multi_operand_rules_skip_frozen_operands(op):
+    live = t64(RNG.standard_normal((3, 4)), True)
+    frozen = t64(RNG.standard_normal((3, 4)))
+    out = {
+        "add": lambda: nm.add(frozen, live),
+        "mul": lambda: nm.mul(live, frozen),
+        "layernorm": lambda: nm.layernorm(live, t64(np.ones(4)), t64(np.zeros(4))),
+        "concat": lambda: nm.concat([frozen, live, frozen], axis=0),
+    }[op]()
+    assert _operands_passed_to_acc(out) == [id(live)]
+
+
+def test_op_on_frozen_operands_returns_leaf():
+    a = t64(RNG.standard_normal((3, 4)))
+    b = nm.constant(RNG.standard_normal((4, 2)), dtype=np.float64)
+    for out in (nm.matmul(a, b), nm.gelu(a), nm.concat([a, a], axis=0),
+                nm.layernorm(a, t64(np.ones(4)), t64(np.zeros(4)))):
+        assert out._parents == () and out._backward is None
+        assert not out.requires_grad
+
+
+def test_frozen_embedding_leaves_no_tape(tiny_vit, tiny_backbone):
+    images = RNG.standard_normal((2, 1, 8, 8))
+    e0 = embed_patches(images, tiny_backbone, tiny_vit)
+    assert e0._parents == () and e0._backward is None
+
+
+def test_no_grad_forward_records_no_tape(tiny_vit, tiny_model):
+    images = RNG.standard_normal((3, 1, 8, 8))
+    taped, _, _ = tiny_model.forward(images, rng=RngState(4))
+    with nm.no_grad():
+        logits, _, _ = tiny_model.forward(images, rng=RngState(4))
+    assert taped._backward is not None
+    assert logits._parents == () and logits._backward is None
+    assert np.array_equal(logits.data, taped.data)
+
+
+def test_no_grad_restores_recording_after_exception():
+    live = t64(RNG.standard_normal((2,)), True)
+    with pytest.raises(RuntimeError):
+        with nm.no_grad():
+            assert nm.mul(live, live)._backward is None
+            raise RuntimeError("inside no_grad")
+    assert nm.mul(live, live)._backward is not None
+    with nm.no_grad():
+        with nm.no_grad():
+            pass
+        assert nm.mul(live, live)._backward is None
+
+
+def test_backward_keeps_gradients_only_on_trainable_leaves(tiny_vit, tiny_model):
+    images = RNG.standard_normal((3, 1, 8, 8))
+    logits, mu, logvar = tiny_model.forward(images, rng=RngState(4))
+    total, _, _ = loss(logits, np.array([0, 1, 2]), mu, logvar, 0.01)
+    tape = _tape(total)
+    gmap = nm.backward(total)
+    interior = [t for t in tape if t._backward is not None]
+    assert interior and all(t.grad is None for t in interior)
+    kept = [t for t in tape if t.grad is not None]
+    assert kept and all(t.trainable for t in kept)
+    assert {id(t) for t in kept} == {id(t) for t in gmap}
+    assert all(t.grad is None for t in tape if not t.trainable)

@@ -356,7 +356,8 @@ def test_backbone_checkpoint_round_trip(tiny_vit, tmp_path):
     {"kind": "backbone"},
     {"kind": "backbone", "precision": "f32", "config": {"vit": {"bogus": 1}}},
     {"kind": "backbone", "precision": "f16", "config": {"vit": {}}},
-], ids=["no_config", "unknown_vit_field", "unknown_precision"])
+    {"kind": "backbone", "precision": "f32", "config": {"vit": {"heads": 5}}},
+], ids=["no_config", "unknown_vit_field", "unknown_precision", "invalid_vit_heads"])
 def test_malformed_backbone_metadata_rejected(tmp_path, metadata):
     save_archive(tmp_path / "bb.ckpt", {}, metadata)
     with pytest.raises(FormatError, match="malformed"):
