@@ -38,7 +38,6 @@ from .training import (
 DATA_MAGIC = b"VIADATA\x01"
 DATASET_VARIANTS = ("class_template", "instance_shift", "pretext_rotation")
 SWEEP_COLUMNS = ("m", "lambda", "accuracy_mean", "accuracy_std", "trainable_params", "ratio")
-ABLATION_VARIANTS = ("full", "no_pca", "no_instance", "no_both", "random_projection")
 EXPERIMENT_SEEDS = (1, 2, 3, 4, 5)
 
 # instance_shift gain bands; the gap around 1.0 keeps the label rule clean

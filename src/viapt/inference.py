@@ -1,10 +1,16 @@
-"""Prediction strategies for models with stochastic instance prompts.
+"""Prediction for models with stochastic instance prompts.
 
-Three ways to deal with sampling noise at test time: average softmax
-probabilities over R independent rounds; draw the noise once from a recorded
-seed and reuse it for every image; or use a generator variant that emits
-prompt tokens deterministically. With no instance tokens all three collapse
-to the same single forward pass.
+One core, `predict_probs(model, images, noise)`, runs every prediction
+forward: a no-grad forward, the softmax, and the average over rounds.
+`noise` is None (a direct-generation model, or one with no instance tokens),
+a (lambda, d) block shared by every image, a (B, lambda, d) block per image,
+or an (R, B, lambda, d) stack whose R rounds are averaged in probability
+space.
+
+`evaluate_dataset` picks the noise for each strategy: multi-round averaging
+draws R rounds per image; fixed sampling draws one block once from a recorded
+seed and reuses it for every image; the direct strategy needs none. With no
+instance tokens all three collapse to the same single forward.
 """
 from __future__ import annotations
 
@@ -54,82 +60,26 @@ def _softmax_np(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _forward_probs(model: PromptModel, images: np.ndarray, frozen=None) -> np.ndarray:
-    with no_grad():
-        logits, _, _ = model.forward(images, rng=None, frozen=frozen)
-    return _softmax_np(logits.data)
+def predict_probs(model: PromptModel, images: np.ndarray, noise=None) -> np.ndarray:
+    """Class probabilities (B, classes) for a batch of images (B, 1, H, W).
 
-
-def _batch_noise(seeds: np.ndarray, counter_start: int, lam: int, d: int, dtype) -> np.ndarray:
-    """Per-image noise blocks (B, lam, d); image b reads its own stream at
-    counter_start, so rounds at offsets r*lam*d partition exactly."""
-    z = gaussian_block(seeds, counter_start, lam * d, dtype=dtype)
-    return z.reshape(len(seeds), lam, d)
-
-
-def _image_seeds(base: RngState, indices) -> np.ndarray:
-    return np.array([base.derive(f"img.{int(i)}").seed for i in indices], dtype=np.uint64)
-
-
-def _as_image_batch(image):
-    arr = np.asarray(image)
-    if arr.ndim == 3:
-        return arr[None], True
-    return arr, False
-
-
-def predict_multi_round(image, model: PromptModel, rounds: int, rng: RngState) -> np.ndarray:
-    """Average class probabilities over R stochastic forwards.
-
-    Noise streams are keyed by position in the batch: round r of image b
-    reads the stream at counter offset (b * R + r) * lam * d, so no two
-    (image, round) pairs share noise and image b matches image b alone at
-    counter offset b * R * lam * d up to float rounding. Averaging is in
-    probability space; if every round produced identical probabilities the
-    average is returned bitwise-equal to a single round.
+    noise is None, a (lambda, d) block shared by every image, a (B, lambda, d)
+    block per image, or an (R, B, lambda, d) stack. A stack runs one B-row
+    forward per round and averages the rounds' probabilities; if every round
+    produced identical probabilities the result is bitwise-equal to a single
+    round.
     """
-    if rounds < 1:
-        raise ConfigError(f"rounds R={rounds} must be >= 1")
-    _check_probabilistic(model, "multi_round")
-    lam, d = model.pcfg.instance_tokens, model.vit.embed_dim
-    images, single = _as_image_batch(image)
-    if lam == 0:
-        probs = _forward_probs(model, images)
-        return probs[0] if single else probs
-    dtype = model.backbone.patch_w.data.dtype
-    z = rng.clone().gaussian((images.shape[0], rounds, lam, d), dtype=dtype)
-    per_round = [_forward_probs(model, images, FrozenForward(noise=z[:, r]))
-                 for r in range(rounds)]
+    rounds = noise if np.ndim(noise) == 4 else [noise]
+    per_round = []
+    for z in rounds:
+        frozen = None if z is None else FrozenForward(noise=z)
+        with no_grad():
+            logits, _, _ = model.forward(images, rng=None, frozen=frozen)
+        per_round.append(_softmax_np(logits.data))
     first = per_round[0]
     if all(np.array_equal(pr, first) for pr in per_round[1:]):
-        probs = first
-    else:
-        probs = np.mean(np.stack(per_round, axis=0), axis=0)
-    return probs[0] if single else probs
-
-
-def predict_fixed_sampling(image, model: PromptModel, noise_seed: int) -> np.ndarray:
-    """One deterministic forward using noise drawn once from the recorded
-    seed and shared by every image; prompts still vary per image through the
-    learned per-image statistics."""
-    _check_probabilistic(model, "fixed_sampling")
-    lam, d = model.pcfg.instance_tokens, model.vit.embed_dim
-    images, single = _as_image_batch(image)
-    frozen = None
-    if lam > 0:
-        dtype = model.backbone.patch_w.data.dtype
-        z = RngState(noise_seed).gaussian((lam, d), dtype=dtype)
-        frozen = FrozenForward(noise=z)
-    probs = _forward_probs(model, images, frozen)
-    return probs[0] if single else probs
-
-
-def predict_direct(image, model: PromptModel) -> np.ndarray:
-    """Deterministic forward through the direct generator (no sampling)."""
-    _check_probabilistic(model, "direct")
-    images, single = _as_image_batch(image)
-    probs = _forward_probs(model, images)
-    return probs[0] if single else probs
+        return first
+    return np.mean(np.stack(per_round, axis=0), axis=0)
 
 
 def evaluate_dataset(model: PromptModel, images, labels, cfg: InferenceConfig,
@@ -137,42 +87,32 @@ def evaluate_dataset(model: PromptModel, images, labels, cfg: InferenceConfig,
     """Whole-split evaluation; returns (summary dict, per-image records).
 
     multi_round derives one noise stream per image from the configured seed
-    and the image's position in the split. Batch size therefore changes
-    results only by float rounding (about 1e-7 in f32), but reordering the
-    split hands each image different noise and changes its multi_round
-    probabilities. fixed_sampling and direct depend on neither beyond
-    rounding.
+    and the image's position in the split, and round r reads that stream at
+    counter offset r * lambda * d. Batch size therefore changes results only
+    by float rounding (about 1e-7 in f32), but reordering the split hands
+    each image different noise and changes its multi_round probabilities.
+    fixed_sampling and direct depend on neither beyond rounding.
     """
+    _check_probabilistic(model, cfg.strategy)
     images = np.asarray(images, dtype=model.backbone.patch_w.data.dtype)
     labels = np.asarray(labels)
     n = len(labels)
     lam, d = model.pcfg.instance_tokens, model.vit.embed_dim
+    sampled = model.pcfg.probabilistic  # direct generation and lambda = 0 take no noise
     base = RngState(cfg.noise_seed)
-    fixed_z = None
-    if cfg.strategy == "fixed_sampling" and lam > 0:
-        fixed_z = RngState(cfg.noise_seed).gaussian((lam, d), dtype=images.dtype)
-    _check_probabilistic(model, cfg.strategy)
+    noise = None
+    if sampled and cfg.strategy == "fixed_sampling":
+        noise = RngState(cfg.noise_seed).gaussian((lam, d), dtype=images.dtype)
 
     records = []
     correct = 0
     for start in range(0, n, batch_size):
         sel = np.arange(start, min(start + batch_size, n))
-        batch = images[sel]
-        if cfg.strategy == "multi_round" and lam > 0:
-            seeds = _image_seeds(base, sel)
-            per_round = []
-            for r in range(cfg.rounds):
-                z = _batch_noise(seeds, r * lam * d, lam, d, images.dtype)
-                per_round.append(_forward_probs(model, batch, FrozenForward(noise=z)))
-            first = per_round[0]
-            if all(np.array_equal(pr, first) for pr in per_round[1:]):
-                probs = first
-            else:
-                probs = np.mean(np.stack(per_round, axis=0), axis=0)
-        elif cfg.strategy == "fixed_sampling" and fixed_z is not None:
-            probs = _forward_probs(model, batch, FrozenForward(noise=fixed_z))
-        else:
-            probs = _forward_probs(model, batch)
+        if sampled and cfg.strategy == "multi_round":
+            seeds = [base.derive(f"img.{i}").seed for i in sel]
+            z = gaussian_block(seeds, 0, cfg.rounds * lam * d, dtype=images.dtype)
+            noise = z.reshape(len(sel), cfg.rounds, lam, d).swapaxes(0, 1)
+        probs = predict_probs(model, images[sel], noise)
         pred = np.argmax(probs, axis=-1)
         correct += int((pred == labels[sel]).sum())
         for i, idx in enumerate(sel):

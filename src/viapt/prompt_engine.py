@@ -30,9 +30,6 @@ MODES = (
     "direct_generation",
 )
 
-_PCA_MODES = {"viapt", "vpt_shallow", "vpt_deep", "ablation_no_instance",
-              "ablation_random_projection", "direct_generation"}
-
 
 @dataclass(frozen=True)
 class PromptConfig:

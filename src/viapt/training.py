@@ -505,6 +505,8 @@ def train(cfg: TrainConfig, pcfg: PromptConfig, data: dict, backbone: BackbonePa
     """
     import time
 
+    if len(data["train"][1]) == 0:
+        raise ConfigError("the training split holds no images")
     dtype = dtype_for(cfg.precision)
     backbone.freeze()
     init_rng = RngState(cfg.seed).derive("init")

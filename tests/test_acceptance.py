@@ -26,7 +26,7 @@ from viapt.harness import (
     gen_dataset,
     read_sweep_csv,
 )
-from viapt.inference import InferenceConfig, evaluate_dataset, predict_multi_round
+from viapt.inference import InferenceConfig, evaluate_dataset, predict_probs
 from viapt.numerics import RngState
 from viapt.prompt_engine import (
     PromptConfig,
@@ -273,9 +273,11 @@ def test_criterion_6_inference_contracts(pretrained_backbone, data600, desk_vit5
 
     # 1/sqrt(R) scaling of the final-probability std over repeated evaluations
     img = x[0]
+    lam, d = pcfg.instance_tokens, desk_vit5.embed_dim
     stds = {}
     for rounds in (1, 4, 16):
-        probs = np.stack([predict_multi_round(img, model, rounds, RngState(9000 + rep))
+        probs = np.stack([predict_probs(model, img[None],
+                                        RngState(9000 + rep).gaussian((rounds, 1, lam, d)))[0]
                           for rep in range(96)])
         stds[rounds] = probs.std(axis=0).mean()
     r4, r16 = stds[1] / stds[4], stds[1] / stds[16]
@@ -285,10 +287,13 @@ def test_criterion_6_inference_contracts(pretrained_backbone, data600, desk_vit5
     pcfg0 = PromptConfig(tokens=8, instance_tokens=0, retained_dims=24, mode="viapt")
     model0 = build_model(desk_vit5, pcfg0, RngState(1).derive("init"),
                          _clone_backbone(backbone, desk_vit5))
-    from viapt.inference import predict_direct, predict_fixed_sampling
-    a = predict_multi_round(img, model0, 5, RngState(1))
-    b = predict_fixed_sampling(img, model0, noise_seed=77)
-    c = predict_direct(img, model0)
+    collapsed = []
+    for icfg0 in (InferenceConfig(strategy="multi_round", rounds=5, noise_seed=1),
+                  InferenceConfig(strategy="fixed_sampling", noise_seed=77),
+                  InferenceConfig(strategy="direct")):
+        _, records = evaluate_dataset(model0, img[None], y[:1], icfg0)
+        collapsed.append(np.array(records[0]["probabilities"]))
+    a, b, c = collapsed
     collapse_ok = np.array_equal(a, b) and np.array_equal(b, c)
     valid = (a >= 0).all() and abs(a.sum() - 1.0) < 1e-6
 

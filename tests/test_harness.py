@@ -410,6 +410,24 @@ def test_cmd_eval_multi_round_smoke(tiny_run_setup):
         assert summary["R"] == rounds and summary["n"] == len(records)
 
 
+def test_cli_train_empty_split_exits_2(tiny_run_setup, tmp_path):
+    # a zero-image train.viadata is a well-formed file, so the refusal is a
+    # config error raised before anything is built
+    base, backbone_path, _ = tiny_run_setup
+    cfg_file = tmp_path / "tiny.cfg"
+    cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in base.to_flat().items()))
+    data_dir = tmp_path / "data"
+    write_dataset(data_dir, base.dataset)
+    side = base.dataset.image_side
+    save_dataset_split(data_dir / "train.viadata", np.zeros((0, 1, side, side), np.float32),
+                       np.zeros(0, np.uint16), base.dataset.classes)
+    proc = run_cli("train", "--config", str(cfg_file), "--backbone", backbone_path,
+                   "--data", str(data_dir), "--out", str(tmp_path / "run"))
+    assert proc.returncode == 2
+    assert "no images" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_lr_sweep_hook(tiny_run_setup):
     from viapt.harness import lr_sweep
 

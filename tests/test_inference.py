@@ -4,15 +4,9 @@ import pytest
 from viapt.backbone import ViTConfig, init_backbone
 from viapt.errors import ConfigError, ModeMismatchError
 from viapt.harness import SyntheticDatasetSpec, gen_dataset
-from viapt.inference import (
-    InferenceConfig,
-    evaluate_dataset,
-    predict_direct,
-    predict_fixed_sampling,
-    predict_multi_round,
-)
+from viapt.inference import InferenceConfig, evaluate_dataset, predict_probs
 from viapt.numerics import RngState
-from viapt.prompt_engine import PromptConfig, count_parameters
+from viapt.prompt_engine import FrozenForward, PromptConfig, count_parameters
 from viapt.training import TrainConfig, build_model, train
 
 RNG = np.random.default_rng(2718)
@@ -52,82 +46,113 @@ def test_inference_config_validation():
         InferenceConfig(strategy="oracle")
 
 
+def _noise(model, rng, shape):
+    """Standard normals shaped (..., lam, d) for the model's instance tokens."""
+    return rng.gaussian(shape + (model.pcfg.instance_tokens, model.vit.embed_dim))
+
+
 def test_r1_equals_single_stochastic_forward(tiny_vit):
     model = small_model(tiny_vit)
     img = RNG.standard_normal((1, 8, 8)).astype(np.float32)
-    rng = RngState(42)
-    p1 = predict_multi_round(img, model, 1, rng)
-    # the single round reads the stream at counter offset 0
-    z = RngState(42).gaussian((1, 2, 8), dtype=np.float32)
-    from viapt.inference import FrozenForward, _forward_probs
-    expect = _forward_probs(model, img[None], FrozenForward(noise=z))[0]
-    assert np.array_equal(p1, expect)
+    z = _noise(model, RngState(42), (1, 1))
+    p1 = predict_probs(model, img[None], z)
+    # one round is one forward: the logits' softmax, nothing averaged
+    logits, _, _ = model.forward(img[None], rng=None, frozen=FrozenForward(noise=z[0]))
+    e = np.exp(logits.data - logits.data.max(axis=-1, keepdims=True))
+    assert np.array_equal(p1, e / e.sum(axis=-1, keepdims=True))
 
 
 def test_multi_round_output_is_distribution(tiny_vit):
     model = small_model(tiny_vit)
     img = RNG.standard_normal((1, 8, 8)).astype(np.float32)
-    p = predict_multi_round(img, model, 5, RngState(3))
+    p = predict_probs(model, img[None], _noise(model, RngState(3), (5, 1)))[0]
     assert p.shape == (tiny_vit.classes,)
     assert (p >= 0).all() and abs(p.sum() - 1.0) < 1e-6
 
 
 def test_round_counter_offsets_partition(tiny_vit):
-    # rounds use offsets r*lam*d, so R=2 averages the same two rounds that
-    # R=1 would produce at offsets 0 and lam*d
+    # an R=2 stack drawn in one call holds the blocks at offsets 0 and lam*d,
+    # and its result is the average of those two single rounds
     model = small_model(tiny_vit)
-    img = RNG.standard_normal((1, 8, 8)).astype(np.float32)
+    img = RNG.standard_normal((1, 1, 8, 8)).astype(np.float32)
     lamd = 2 * 8
-    p_r2 = predict_multi_round(img, model, 2, RngState(9))
-    pa = predict_multi_round(img, model, 1, RngState(9))
-    pb = predict_multi_round(img, model, 1, RngState(9, counter=lamd))
+    p_r2 = predict_probs(model, img, _noise(model, RngState(9), (2, 1)))
+    pa = predict_probs(model, img, _noise(model, RngState(9), (1,)))
+    pb = predict_probs(model, img, _noise(model, RngState(9, counter=lamd), (1,)))
     assert np.allclose(p_r2, (pa + pb) / 2.0, atol=1e-7)
 
 
-def test_batch_position_keys_disjoint_streams(tiny_vit):
-    # image b's rounds start at counter c + b*R*lam*d, so each image of a
-    # batch matches that image alone read from its own offset
+def test_shared_block_equals_per_image_copies(tiny_vit):
     model = small_model(tiny_vit)
     imgs = RNG.standard_normal((2, 1, 8, 8)).astype(np.float32)
-    rounds, lamd, c = 3, 2 * 8, 5
-    both = predict_multi_round(imgs, model, rounds, RngState(9, counter=c))
-    for b in range(2):
-        alone = predict_multi_round(imgs[b], model, rounds,
-                                    RngState(9, counter=c + b * rounds * lamd))
-        assert np.abs(both[b] - alone).max() < 1e-6
+    z = _noise(model, RngState(6), ())
+    shared = predict_probs(model, imgs, z)
+    assert np.array_equal(shared, predict_probs(model, imgs, np.stack([z] * 2)))
+    assert np.array_equal(shared, predict_probs(model, imgs, np.stack([z] * 2)[None]))
 
 
 def test_lambda_zero_collapses_all_strategies(tiny_vit):
     model = small_model(tiny_vit, lam=0)
     img = RNG.standard_normal((1, 8, 8)).astype(np.float32)
-    multi = predict_multi_round(img, model, 7, RngState(1))
-    fixed = predict_fixed_sampling(img, model, noise_seed=99)
-    direct = predict_direct(img, model)
-    assert np.array_equal(multi, fixed)
-    assert np.array_equal(fixed, direct)
+    label = np.zeros(1, dtype=np.int64)
+    probs = []
+    for icfg in (InferenceConfig(strategy="multi_round", rounds=7, noise_seed=1),
+                 InferenceConfig(strategy="fixed_sampling", noise_seed=99),
+                 InferenceConfig(strategy="direct")):
+        _, records = evaluate_dataset(model, img[None], label, icfg)
+        probs.append(np.array([r["probabilities"] for r in records]))
+    assert np.array_equal(probs[0], probs[1])
+    assert np.array_equal(probs[1], probs[2])
 
 
 def test_identical_rounds_average_bitwise_idempotent(tiny_vit):
-    model = small_model(tiny_vit, lam=0)
-    img = RNG.standard_normal((1, 8, 8)).astype(np.float32)
-    single = predict_multi_round(img, model, 1, RngState(4))
-    many = predict_multi_round(img, model, 9, RngState(4))
+    model = small_model(tiny_vit)
+    img = RNG.standard_normal((1, 1, 8, 8)).astype(np.float32)
+    z = _noise(model, RngState(4), (1, 1))
+    single = predict_probs(model, img, z)
+    many = predict_probs(model, img, np.repeat(z, 9, axis=0))
     assert np.array_equal(single, many)
 
 
 def test_fixed_sampling_bitwise_reproducible(tiny_vit):
     model = small_model(tiny_vit)
-    img = RNG.standard_normal((1, 8, 8)).astype(np.float32)
-    a = predict_fixed_sampling(img, model, noise_seed=5)
-    b = predict_fixed_sampling(img, model, noise_seed=5)
+    img = RNG.standard_normal((1, 1, 8, 8)).astype(np.float32)
+    a = predict_probs(model, img, _noise(model, RngState(5), ()))
+    b = predict_probs(model, img, _noise(model, RngState(5), ()))
     assert np.array_equal(a, b)
 
 
 def test_fixed_sampling_varies_across_images(tiny_vit):
     model = small_model(tiny_vit)
     imgs = RNG.standard_normal((2, 1, 8, 8)).astype(np.float32)
-    probs = predict_fixed_sampling(imgs, model, noise_seed=5)
+    probs = predict_probs(model, imgs, _noise(model, RngState(5), ()))
     assert np.abs(probs[0] - probs[1]).max() > 0
+
+
+def test_multi_round_records_read_per_image_streams(desk_vit):
+    # image i's R rounds are one draw of R*lam*d values from the stream that
+    # noise_seed derives for "img.i"
+    model = small_model(desk_vit)
+    rng = np.random.default_rng(32)
+    images = rng.standard_normal((5, 1, 16, 16)).astype(np.float32)
+    labels = rng.integers(0, desk_vit.classes, 5)
+    icfg = InferenceConfig(strategy="multi_round", rounds=3, noise_seed=7)
+    _, records = evaluate_dataset(model, images, labels, icfg, batch_size=1)
+    for i, rec in enumerate(records):
+        z = _noise(model, RngState(7).derive(f"img.{i}"), (3, 1))
+        expect = predict_probs(model, images[i:i + 1], z)[0]
+        assert np.array_equal(np.array(rec["probabilities"]), expect)
+
+
+def test_fixed_sampling_records_share_one_block(desk_vit):
+    model = small_model(desk_vit)
+    rng = np.random.default_rng(33)
+    images = rng.standard_normal((5, 1, 16, 16)).astype(np.float32)
+    labels = rng.integers(0, desk_vit.classes, 5)
+    icfg = InferenceConfig(strategy="fixed_sampling", noise_seed=7)
+    _, records = evaluate_dataset(model, images, labels, icfg)
+    expect = predict_probs(model, images, _noise(model, RngState(7), ()))
+    assert np.array_equal(np.array([r["probabilities"] for r in records]), expect)
 
 
 def test_full_testset_fixed_evaluation_reproducible(trained_setup):
@@ -160,7 +185,7 @@ def test_std_scales_like_inverse_sqrt_rounds(tiny_vit):
     stds = {}
     for rounds in (1, 4, 16):
         probs = np.stack([
-            predict_multi_round(img, model, rounds, RngState(1000 + rep))
+            predict_probs(model, img[None], _noise(model, RngState(1000 + rep), (rounds, 1)))[0]
             for rep in range(repeats)
         ])
         stds[rounds] = probs.std(axis=0).mean()
@@ -172,20 +197,21 @@ def test_std_scales_like_inverse_sqrt_rounds(tiny_vit):
 
 def test_direct_mode_deterministic(tiny_vit):
     model = small_model(tiny_vit, mode="direct_generation")
-    img = RNG.standard_normal((1, 8, 8)).astype(np.float32)
-    assert np.array_equal(predict_direct(img, model), predict_direct(img, model))
+    img = RNG.standard_normal((1, 1, 8, 8)).astype(np.float32)
+    assert np.array_equal(predict_probs(model, img), predict_probs(model, img))
 
 
 def test_mode_mismatch_errors(tiny_vit):
     prob_model = small_model(tiny_vit, mode="viapt")
     direct_model = small_model(tiny_vit, mode="direct_generation")
-    img = RNG.standard_normal((1, 8, 8)).astype(np.float32)
+    img = RNG.standard_normal((1, 1, 8, 8)).astype(np.float32)
+    label = np.zeros(1, dtype=np.int64)
     with pytest.raises(ModeMismatchError):
-        predict_direct(img, prob_model)
+        evaluate_dataset(prob_model, img, label, InferenceConfig(strategy="direct"))
     with pytest.raises(ModeMismatchError):
-        predict_multi_round(img, direct_model, 3, RngState(0))
+        evaluate_dataset(direct_model, img, label, InferenceConfig(strategy="multi_round", rounds=3))
     with pytest.raises(ModeMismatchError):
-        predict_fixed_sampling(img, direct_model, 0)
+        evaluate_dataset(direct_model, img, label, InferenceConfig(strategy="fixed_sampling"))
 
 
 def test_direct_generator_parameter_count_difference(tiny_vit):
