@@ -4,7 +4,8 @@ Pre-norm attention blocks over the token layout [class, prompts, image].
 Three forward rules are exposed: shallow prompting (prompts only at layer 1,
 outputs propagate), deep prompting (fresh prompts every layer, propagated
 prompt outputs discarded), and a plain no-prompt forward used for
-pretraining. Backbone weights are frozen during prompt tuning; only the
+pretraining. Every forward takes a batch: images (B, C, H, W), tokens
+(B, k, d). Backbone weights are frozen during prompt tuning; only the
 classification head trains.
 """
 from __future__ import annotations
@@ -115,10 +116,6 @@ class BackboneParams:
         for name, t in self.named_tensors():
             t.trainable = name.startswith("head.")
 
-    def unfreeze_all(self):
-        for _, t in self.named_tensors():
-            t.trainable = True
-
 
 def sinusoidal_position_encoding(k: int, d: int, dtype=np.float32) -> np.ndarray:
     """Fixed sin/cos encoding over image-token index (prompts and class token
@@ -132,75 +129,92 @@ def sinusoidal_position_encoding(k: int, d: int, dtype=np.float32) -> np.ndarray
     return pe.astype(dtype)
 
 
-def _uniform_fan_in(rng: RngState, name: str, shape, fan_in: int, dtype) -> Tensor:
-    bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.derive(name).uniform(shape, -bound, bound, dtype=dtype), trainable=True, name=name)
+def init_uniform(bound):
+    """Init rule: U(-bound, bound) from the stream derived from the tensor's name."""
+    return lambda rng, name, shape, dtype: rng.derive(name).uniform(shape, -bound, bound,
+                                                                     dtype=dtype)
 
 
-def _zeros(name: str, shape, dtype) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), trainable=True, name=name)
+def init_zeros(rng, name, shape, dtype):
+    return np.zeros(shape, dtype=dtype)
 
 
-def _ones(name: str, shape, dtype) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype), trainable=True, name=name)
+def init_ones(rng, name, shape, dtype):
+    return np.ones(shape, dtype=dtype)
 
 
-def init_backbone(cfg: ViTConfig, rng: RngState, dtype=np.float32) -> BackboneParams:
-    """Fresh backbone, all tensors trainable (pretraining mode); call
-    .freeze() for the prompt-tuning phase."""
+def random_fill(rng: RngState, dtype=np.float32):
+    """fill(name, shape, init) drawing each tensor by its init rule. Every
+    builder takes its values from a fill, so each name and shape is declared
+    once; training.from_arrays passes one that reads a name->array map."""
+    return lambda name, shape, init: init(rng, name, shape, dtype)
+
+
+def param(fill, name: str, shape: tuple, init) -> Tensor:
+    return Tensor(fill(name, shape, init), trainable=True, name=name)
+
+
+def _head(fill, d: int, classes: int):
+    return (param(fill, "head.w", (d, classes), init_uniform(1.0 / np.sqrt(d))),
+            param(fill, "head.b", (classes,), init_zeros))
+
+
+def _layer(fill, pre: str, d: int, hidden: int) -> LayerParams:
+    def p(name, shape, init):
+        return param(fill, f"{pre}.{name}", shape, init)
+    fan_in_d = init_uniform(1.0 / np.sqrt(d))
+    return LayerParams(
+        ln1_g=p("ln1.g", (d,), init_ones),
+        ln1_b=p("ln1.b", (d,), init_zeros),
+        wq=p("attn.wq", (d, d), fan_in_d),
+        bq=p("attn.bq", (d,), init_zeros),
+        wk=p("attn.wk", (d, d), fan_in_d),
+        bk=p("attn.bk", (d,), init_zeros),
+        wv=p("attn.wv", (d, d), fan_in_d),
+        bv=p("attn.bv", (d,), init_zeros),
+        wo=p("attn.wo", (d, d), fan_in_d),
+        bo=p("attn.bo", (d,), init_zeros),
+        ln2_g=p("ln2.g", (d,), init_ones),
+        ln2_b=p("ln2.b", (d,), init_zeros),
+        w1=p("mlp.w1", (d, hidden), fan_in_d),
+        b1=p("mlp.b1", (hidden,), init_zeros),
+        w2=p("mlp.w2", (hidden, d), init_uniform(1.0 / np.sqrt(hidden))),
+        b2=p("mlp.b2", (d,), init_zeros),
+    )
+
+
+def init_backbone(cfg: ViTConfig, rng: RngState | None, dtype=np.float32,
+                  fill=None) -> BackboneParams:
+    """Fresh backbone drawn from rng (or taken from fill), all tensors
+    trainable (pretraining mode); call .freeze() for the prompt-tuning phase."""
+    fill = fill or random_fill(rng, dtype)
     d = cfg.embed_dim
     patch_dim = cfg.patch_side * cfg.patch_side
-    layers = []
-    for i in range(cfg.layers):
-        pre = f"backbone.layer{i}"
-        hidden = d * cfg.mlp_ratio
-        layers.append(LayerParams(
-            ln1_g=_ones(f"{pre}.ln1.g", (d,), dtype),
-            ln1_b=_zeros(f"{pre}.ln1.b", (d,), dtype),
-            wq=_uniform_fan_in(rng, f"{pre}.attn.wq", (d, d), d, dtype),
-            bq=_zeros(f"{pre}.attn.bq", (d,), dtype),
-            wk=_uniform_fan_in(rng, f"{pre}.attn.wk", (d, d), d, dtype),
-            bk=_zeros(f"{pre}.attn.bk", (d,), dtype),
-            wv=_uniform_fan_in(rng, f"{pre}.attn.wv", (d, d), d, dtype),
-            bv=_zeros(f"{pre}.attn.bv", (d,), dtype),
-            wo=_uniform_fan_in(rng, f"{pre}.attn.wo", (d, d), d, dtype),
-            bo=_zeros(f"{pre}.attn.bo", (d,), dtype),
-            ln2_g=_ones(f"{pre}.ln2.g", (d,), dtype),
-            ln2_b=_zeros(f"{pre}.ln2.b", (d,), dtype),
-            w1=_uniform_fan_in(rng, f"{pre}.mlp.w1", (d, hidden), d, dtype),
-            b1=_zeros(f"{pre}.mlp.b1", (hidden,), dtype),
-            w2=_uniform_fan_in(rng, f"{pre}.mlp.w2", (hidden, d), hidden, dtype),
-            b2=_zeros(f"{pre}.mlp.b2", (d,), dtype),
-        ))
+    head_w, head_b = _head(fill, d, cfg.classes)
     return BackboneParams(
-        patch_w=_uniform_fan_in(rng, "backbone.patch.w", (patch_dim, d), patch_dim, dtype),
-        patch_b=_zeros("backbone.patch.b", (d,), dtype),
-        cls_token=_zeros("backbone.cls", (d,), dtype),
-        layers=layers,
-        head_w=_uniform_fan_in(rng, "head.w", (d, cfg.classes), d, dtype),
-        head_b=_zeros("head.b", (cfg.classes,), dtype),
+        patch_w=param(fill, "backbone.patch.w", (patch_dim, d),
+                      init_uniform(1.0 / np.sqrt(patch_dim))),
+        patch_b=param(fill, "backbone.patch.b", (d,), init_zeros),
+        cls_token=param(fill, "backbone.cls", (d,), init_zeros),
+        layers=[_layer(fill, f"backbone.layer{i}", d, d * cfg.mlp_ratio)
+                for i in range(cfg.layers)],
+        head_w=head_w,
+        head_b=head_b,
         pos_encoding=sinusoidal_position_encoding(cfg.tokens, d, dtype),
     )
 
 
 def reinit_head(params: BackboneParams, cfg: ViTConfig, rng: RngState, classes: int, dtype=np.float32):
     """Fresh trainable head for a new downstream class count."""
-    d = cfg.embed_dim
-    params.head_w = _uniform_fan_in(rng, "head.w", (d, classes), d, dtype)
-    params.head_b = _zeros("head.b", (classes,), dtype)
+    params.head_w, params.head_b = _head(random_fill(rng, dtype), cfg.embed_dim, classes)
 
 
 # --------------------------------------------------------------------------
 # forward rules
 # --------------------------------------------------------------------------
 
-def _as_batched(arr: np.ndarray, rank: int):
-    """Add a leading batch axis when the array has the unbatched rank."""
-    if arr.ndim == rank:
-        return arr[None], True
-    if arr.ndim == rank + 1:
-        return arr, False
-    raise DimensionError(f"expected rank {rank} or {rank + 1}, got shape {arr.shape}")
+def as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
 
 
 def extract_patches(images: np.ndarray, patch_side: int) -> np.ndarray:
@@ -212,21 +226,16 @@ def extract_patches(images: np.ndarray, patch_side: int) -> np.ndarray:
     return x.reshape(b, hp * wp, c * patch_side * patch_side)
 
 
-def embed_patches(image, params: BackboneParams, cfg: ViTConfig) -> Tensor:
-    """Patchify, project, and add the fixed position encoding.
-
-    Accepts (C, H, W) or (B, C, H, W); returns (k, d) or (B, k, d).
-    """
-    data = image.data if isinstance(image, Tensor) else np.asarray(image)
-    data, single = _as_batched(data, 3)
-    if data.shape[-2:] != (cfg.image_side, cfg.image_side):
-        raise DimensionError(
-            f"image is {data.shape[-2:]}, config wants {(cfg.image_side, cfg.image_side)}"
-        )
+def embed_patches(images, params: BackboneParams, cfg: ViTConfig) -> Tensor:
+    """Patchify images (B, C, H, W), project, and add the fixed position
+    encoding; returns (B, k, d)."""
+    data = images.data if isinstance(images, Tensor) else np.asarray(images)
+    side = cfg.image_side
+    if data.ndim != 4 or data.shape[-2:] != (side, side):
+        raise DimensionError(f"images shaped {data.shape}, config wants (B, C, {side}, {side})")
     patches = extract_patches(data, cfg.patch_side)
     pe = nm.constant(params.pos_encoding, dtype=params.pos_encoding.dtype)
-    e0 = nm.add(nm.add(nm.matmul(Tensor(patches), params.patch_w), params.patch_b), pe)
-    return nm.reshape(e0, e0.shape[1:]) if single else e0
+    return nm.add(nm.add(nm.matmul(Tensor(patches), params.patch_w), params.patch_b), pe)
 
 
 def layer_forward(seq: TokenSequence, lp: LayerParams, cfg: ViTConfig, return_attn: bool = False):
@@ -268,13 +277,9 @@ def layer_forward(seq: TokenSequence, lp: LayerParams, cfg: ViTConfig, return_at
     return out
 
 
-def head(x_n: Tensor, params: BackboneParams) -> Tensor:
-    """Trainable linear classification map on the final class token."""
-    data = x_n if isinstance(x_n, Tensor) else Tensor(np.asarray(x_n))
-    if data.data.ndim == 1:
-        data = nm.reshape(data, (1, -1))
-        return nm.reshape(nm.add(nm.matmul(data, params.head_w), params.head_b), (-1,))
-    return nm.add(nm.matmul(data, params.head_w), params.head_b)
+def head(x_n, params: BackboneParams) -> Tensor:
+    """Trainable linear classification map on the final class tokens (B, d)."""
+    return nm.add(nm.matmul(as_tensor(x_n), params.head_w), params.head_b)
 
 
 def initial_sequence(e0: Tensor, prompt_block: Tensor, params: BackboneParams) -> TokenSequence:
@@ -283,14 +288,8 @@ def initial_sequence(e0: Tensor, prompt_block: Tensor, params: BackboneParams) -
     return TokenSequence(x=x0, prompts=prompt_block, image=e0, layer_index=0)
 
 
-def _prep_e0(e0) -> tuple[Tensor, bool]:
-    t = e0 if isinstance(e0, Tensor) else Tensor(np.asarray(e0))
-    if t.data.ndim == 2:
-        return nm.reshape(t, (1,) + t.data.shape), True
-    return t, False
-
-
 def _prep_prompts(block, bsz: int, dtype) -> Tensor:
+    """A shared (p, d) block is broadcast over the batch; (B, p, d) passes."""
     t = block if isinstance(block, Tensor) else Tensor(np.asarray(block, dtype=dtype))
     if t.data.ndim == 2:
         return nm.broadcast_batch(t, bsz)
@@ -299,45 +298,29 @@ def _prep_prompts(block, bsz: int, dtype) -> Tensor:
 
 def forward_vpt_shallow(e0, prompts_p0, params: BackboneParams, cfg: ViTConfig) -> Tensor:
     """Prompts inserted only at layer 1; their outputs propagate unchanged
-    through all later layers. Returns logits (B, classes) or (classes,)."""
-    e0, single = _prep_e0(e0)
-    block = _prep_prompts(prompts_p0, e0.data.shape[0], e0.data.dtype)
-    seq = initial_sequence(e0, block, params)
-    for lp in params.layers:
-        seq = layer_forward(seq, lp, cfg)
-    logits = head(nm.reshape(seq.x, (seq.x.data.shape[0], -1)), params)
-    return nm.reshape(logits, (-1,)) if single else logits
+    through all later layers. Returns logits (B, classes)."""
+    return forward_vpt_deep(e0, [prompts_p0] + [None] * (cfg.layers - 1), params, cfg)
 
 
 def forward_vpt_deep(e0, prompts_per_layer, params: BackboneParams, cfg: ViTConfig) -> Tensor:
-    """Fresh prompts at every layer; propagated prompt outputs are discarded."""
+    """Fresh prompts at every layer; propagated prompt outputs are discarded.
+    A None block past the first keeps the propagated outputs instead."""
     if len(prompts_per_layer) != cfg.layers:
         raise ConfigError(f"need {cfg.layers} prompt blocks, got {len(prompts_per_layer)}")
-    e0, single = _prep_e0(e0)
+    e0 = as_tensor(e0)
+    if e0.data.ndim != 3:
+        raise DimensionError(f"image tokens shaped {e0.data.shape}, want (B, k, d)")
     bsz = e0.data.shape[0]
     seq = initial_sequence(e0, _prep_prompts(prompts_per_layer[0], bsz, e0.data.dtype), params)
-    for i, lp in enumerate(params.layers):
-        if i > 0:
-            seq = TokenSequence(
-                x=seq.x,
-                prompts=_prep_prompts(prompts_per_layer[i], bsz, e0.data.dtype),
-                image=seq.image,
-                layer_index=seq.layer_index,
-            )
+    for i, (block, lp) in enumerate(zip(prompts_per_layer, params.layers)):
+        if i > 0 and block is not None:
+            seq.prompts = _prep_prompts(block, bsz, e0.data.dtype)
         seq = layer_forward(seq, lp, cfg)
-    logits = head(nm.reshape(seq.x, (seq.x.data.shape[0], -1)), params)
-    return nm.reshape(logits, (-1,)) if single else logits
+    return head(nm.reshape(seq.x, (bsz, -1)), params)
 
 
 def forward_plain(e0, params: BackboneParams, cfg: ViTConfig) -> Tensor:
     """No-prompt forward (p = 0), used for backbone pretraining."""
-    e0_t, _ = _prep_e0(e0)
-    empty = Tensor(np.zeros((e0_t.data.shape[0], 0, cfg.embed_dim), dtype=e0_t.data.dtype))
-    single = not isinstance(e0, Tensor) and np.asarray(e0).ndim == 2 or (
-        isinstance(e0, Tensor) and e0.data.ndim == 2
-    )
-    seq = initial_sequence(e0_t, empty, params)
-    for lp in params.layers:
-        seq = layer_forward(seq, lp, cfg)
-    logits = head(nm.reshape(seq.x, (seq.x.data.shape[0], -1)), params)
-    return nm.reshape(logits, (-1,)) if single else logits
+    e0 = as_tensor(e0)
+    empty = np.zeros((e0.data.shape[0], 0, cfg.embed_dim), dtype=e0.data.dtype)
+    return forward_vpt_shallow(e0, empty, params, cfg)

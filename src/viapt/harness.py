@@ -27,12 +27,14 @@ from .training import (
     TrainResult,
     actual_trainable_count,
     build_model,
+    from_arrays,
     load_backbone,
     load_checkpoint,
     loss,
     pretrain_backbone,
     save_backbone,
     train,
+    write_atomic,
 )
 
 DATA_MAGIC = b"VIADATA\x01"
@@ -124,7 +126,7 @@ def save_dataset_split(path, images: np.ndarray, labels: np.ndarray, classes: in
     buf += struct.pack("<III", n, side, classes)
     buf += images.astype("<f4", copy=False).tobytes()
     buf += labels.astype("<u2", copy=False).tobytes()
-    Path(path).write_bytes(bytes(buf))
+    write_atomic(path, bytes(buf))
 
 
 def load_dataset_split(path):
@@ -143,6 +145,8 @@ def load_dataset_split(path):
         )
     images = np.frombuffer(blob, dtype="<f4", count=n * side * side, offset=offset)
     labels = np.frombuffer(blob, dtype="<u2", count=n, offset=offset + img_bytes)
+    if labels.max(initial=0) >= classes:
+        raise FormatError(f"label {labels.max()} outside the header's {classes} classes")
     return images.reshape(n, 1, side, side).copy(), labels.copy(), classes
 
 
@@ -362,21 +366,17 @@ def _resolve_backbone(cfg: RunConfig, backbone_path):
     if backbone_path is None:
         raise ConfigError("a frozen backbone checkpoint is required (pretrain-backbone first)")
     backbone, pre_vit = load_backbone(backbone_path, expect_precision=cfg.train.precision)
-    want = (cfg.vit.image_side, cfg.vit.patch_side, cfg.vit.embed_dim,
-            cfg.vit.layers, cfg.vit.heads, cfg.vit.mlp_ratio)
-    got = (pre_vit.image_side, pre_vit.patch_side, pre_vit.embed_dim,
-           pre_vit.layers, pre_vit.heads, pre_vit.mlp_ratio)
-    if want != got:
-        raise ConfigError(f"backbone checkpoint geometry {got} != run geometry {want}")
+    if replace(pre_vit, classes=cfg.vit.classes) != cfg.vit:  # the head is replaced anyway
+        raise ConfigError(f"backbone checkpoint geometry {pre_vit} != run geometry {cfg.vit}")
     return backbone
 
 
 def _clone_backbone(backbone, vit: ViTConfig):
-    clone = init_backbone(vit, RngState(0), dtype=backbone.patch_w.data.dtype)
-    src = dict(backbone.named_tensors())
-    for name, t in clone.named_tensors():
-        if name in src and src[name].data.shape == t.data.shape:
-            t.data = src[name].data.copy()
+    """Frozen copy of backbone, checked against vit. It keeps the source's head,
+    which may be a pretext head of another width: train replaces it."""
+    arrays = {name: t.data.copy() for name, t in backbone.named_tensors()}
+    clone = from_arrays(arrays, replace(vit, classes=backbone.head_b.data.shape[0]),
+                        backbone.patch_w.data.dtype)
     clone.freeze()
     return clone
 
@@ -395,6 +395,9 @@ def cmd_train(cfg: RunConfig, backbone_path, data=None, record_timing=False) -> 
 def cmd_eval(checkpoint_path, data, icfg: InferenceConfig, out_dir=None, split="test"):
     state = load_checkpoint(checkpoint_path)
     images, labels = data[split]
+    n_classes = state.model.backbone.head_b.data.shape[0]
+    if np.min(labels, initial=0) < 0 or np.max(labels, initial=0) >= n_classes:
+        raise ConfigError(f"label outside [0, {n_classes}), the checkpoint's classes")
     summary, records = evaluate_dataset(state.model, images, labels, icfg)
     summary["split"] = split
     if out_dir is not None:
@@ -407,11 +410,16 @@ def cmd_eval(checkpoint_path, data, icfg: InferenceConfig, out_dir=None, split="
     return summary, records
 
 
-def _train_cell(cfg: RunConfig, backbone, data, mode, m, lam, seed):
+def _train_cell(cfg: RunConfig, backbone, data, mode, m, lam, seeds):
+    """One run per seed: (best-validation accuracies, first seed's model)."""
     pcfg = replace(cfg.prompt, mode=mode, retained_dims=m, instance_tokens=lam)
-    tcfg = replace(cfg.train, seed=seed)
-    bb = _clone_backbone(backbone, cfg.vit)
-    return train(tcfg, pcfg, data, bb, cfg.vit)
+    accs, trained = [], None
+    for seed in seeds:
+        res = train(replace(cfg.train, seed=seed), pcfg, data,
+                    _clone_backbone(backbone, cfg.vit), cfg.vit)
+        accs.append(res.best["accuracy"])
+        trained = trained or res.final.model
+    return accs, trained
 
 
 def lr_sweep(cfg: RunConfig, backbone_path, lr_list, data=None) -> list[dict]:
@@ -450,12 +458,7 @@ def cmd_sweep_m(cfg: RunConfig, backbone_path, m_list, with_and_without_instance
         if not 0 <= m <= d:
             raise ConfigError(f"sweep m={m} outside [0, {d}]")
         for lam in lam_values:
-            accs = []
-            trained = None
-            for seed in seeds:
-                res = _train_cell(cfg, backbone, data, "viapt", m, lam, seed)
-                accs.append(res.best["accuracy"])
-                trained = trained or res.final.model
+            accs, trained = _train_cell(cfg, backbone, data, "viapt", m, lam, seeds)
             params = actual_trainable_count(trained)
             per_seed[(m, lam)] = accs
             rows.append({
@@ -517,12 +520,7 @@ def cmd_ablate(cfg: RunConfig, backbone_path, data=None, seeds=None) -> list[dic
     backbone = _resolve_backbone(cfg, backbone_path)
     rows = []
     for variant, (mode, m, lam) in ablation_cells(cfg).items():
-        accs = []
-        trained = None
-        for seed in seeds:
-            res = _train_cell(cfg, backbone, data, mode, m, lam, seed)
-            accs.append(res.best["accuracy"])
-            trained = trained or res.final.model
+        accs, trained = _train_cell(cfg, backbone, data, mode, m, lam, seeds)
         rows.append({
             "variant": variant, "mode": mode,
             "m": trained.pcfg.retained_dims, "lambda": lam,

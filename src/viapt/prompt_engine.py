@@ -16,7 +16,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import numerics as nm
-from .backbone import BackboneParams, ViTConfig, head, initial_sequence, layer_forward
+from .backbone import (
+    BackboneParams,
+    ViTConfig,
+    as_tensor,
+    head,
+    init_uniform,
+    init_zeros,
+    initial_sequence,
+    layer_forward,
+    param,
+    random_fill,
+)
 from .errors import ConfigError, DimensionError
 from .numerics import RngState, Tensor
 
@@ -155,48 +166,52 @@ class FrozenForward:
 # initialization
 # --------------------------------------------------------------------------
 
-def _uniform(rng: RngState, name: str, shape, bound: float, dtype) -> Tensor:
-    return Tensor(rng.derive(name).uniform(shape, -bound, bound, dtype=dtype),
-                  trainable=True, name=name)
-
-
-def init_dataset_prompts(cfg: PromptConfig, vit: ViTConfig, rng: RngState,
-                         dtype=np.float32) -> DatasetPrompts:
+def init_dataset_prompts(cfg: PromptConfig, vit: ViTConfig, rng: RngState | None,
+                         dtype=np.float32, fill=None) -> DatasetPrompts:
+    fill = fill or random_fill(rng, dtype)
     cfg = cfg.resolved(vit.embed_dim)
     p, lam, m, d = cfg.tokens, cfg.instance_tokens, cfg.retained_dims, vit.embed_dim
-    dom = _uniform(rng, "prompt.dom", (p - lam, d), np.sqrt(6.0 / (d + p)), dtype)
+    dom = param(fill, "prompt.dom", (p - lam, d), init_uniform(np.sqrt(6.0 / (d + p))))
     new = []
     if cfg.mode != "ablation_no_pca" and m < d:
         width = d - m
-        bound = np.sqrt(6.0 / (width + p))
-        new = [_uniform(rng, f"prompt.new.{i}", (p, width), bound, dtype)
-               for i in range(1, vit.layers)]
+        init = init_uniform(np.sqrt(6.0 / (width + p)))
+        new = [param(fill, f"prompt.new.{i}", (p, width), init) for i in range(1, vit.layers)]
     return DatasetPrompts(dom=dom, new=new)
 
 
-def init_generator(d: int, rng: RngState, dtype=np.float32) -> GeneratorParams:
+def _trunk(fill, d: int):
+    """The shared conv trunk's four tensors, d -> d//2 channels."""
     h = d // 2
-    return GeneratorParams(
-        conv1_w=_uniform(rng, "generator.conv1.w", (h, d, 3, 3), 1.0 / np.sqrt(d * 9), dtype),
-        conv1_b=Tensor(np.zeros(h, dtype=dtype), trainable=True, name="generator.conv1.b"),
-        conv2_w=_uniform(rng, "generator.conv2.w", (h, h, 3, 3), 1.0 / np.sqrt(h * 9), dtype),
-        conv2_b=Tensor(np.zeros(h, dtype=dtype), trainable=True, name="generator.conv2.b"),
-        mu_w=_uniform(rng, "generator.mu.w", (h, d), 1.0 / np.sqrt(h), dtype),
-        mu_b=Tensor(np.zeros(d, dtype=dtype), trainable=True, name="generator.mu.b"),
-        logvar_w=_uniform(rng, "generator.logvar.w", (h, d), 1.0 / np.sqrt(h), dtype),
-        logvar_b=Tensor(np.zeros(d, dtype=dtype), trainable=True, name="generator.logvar.b"),
+    return dict(
+        conv1_w=param(fill, "generator.conv1.w", (h, d, 3, 3), init_uniform(1.0 / np.sqrt(d * 9))),
+        conv1_b=param(fill, "generator.conv1.b", (h,), init_zeros),
+        conv2_w=param(fill, "generator.conv2.w", (h, h, 3, 3), init_uniform(1.0 / np.sqrt(h * 9))),
+        conv2_b=param(fill, "generator.conv2.b", (h,), init_zeros),
     )
 
 
-def init_direct_generator(d: int, lam: int, rng: RngState, dtype=np.float32) -> DirectGeneratorParams:
+def init_generator(d: int, rng: RngState | None, dtype=np.float32, fill=None) -> GeneratorParams:
+    fill = fill or random_fill(rng, dtype)
+    h = d // 2
+    init = init_uniform(1.0 / np.sqrt(h))
+    return GeneratorParams(
+        **_trunk(fill, d),
+        mu_w=param(fill, "generator.mu.w", (h, d), init),
+        mu_b=param(fill, "generator.mu.b", (d,), init_zeros),
+        logvar_w=param(fill, "generator.logvar.w", (h, d), init),
+        logvar_b=param(fill, "generator.logvar.b", (d,), init_zeros),
+    )
+
+
+def init_direct_generator(d: int, lam: int, rng: RngState | None, dtype=np.float32,
+                          fill=None) -> DirectGeneratorParams:
+    fill = fill or random_fill(rng, dtype)
     h = d // 2
     return DirectGeneratorParams(
-        conv1_w=_uniform(rng, "generator.conv1.w", (h, d, 3, 3), 1.0 / np.sqrt(d * 9), dtype),
-        conv1_b=Tensor(np.zeros(h, dtype=dtype), trainable=True, name="generator.conv1.b"),
-        conv2_w=_uniform(rng, "generator.conv2.w", (h, h, 3, 3), 1.0 / np.sqrt(h * 9), dtype),
-        conv2_b=Tensor(np.zeros(h, dtype=dtype), trainable=True, name="generator.conv2.b"),
-        out_w=_uniform(rng, "generator.out.w", (h, lam * d), 1.0 / np.sqrt(h), dtype),
-        out_b=Tensor(np.zeros(lam * d, dtype=dtype), trainable=True, name="generator.out.b"),
+        **_trunk(fill, d),
+        out_w=param(fill, "generator.out.w", (h, lam * d), init_uniform(1.0 / np.sqrt(h))),
+        out_b=param(fill, "generator.out.b", (lam * d,), init_zeros),
         instance_tokens=lam,
     )
 
@@ -234,10 +249,7 @@ def generate_instance_prompts(e0, g: GeneratorParams, lam: int, rng: RngState | 
     """
     if lam < 0:
         raise ConfigError(f"lambda={lam} must be non-negative")
-    e0_t = e0 if isinstance(e0, Tensor) else Tensor(np.asarray(e0))
-    single = e0_t.data.ndim == 2
-    if single:
-        e0_t = nm.reshape(e0_t, (1,) + e0_t.data.shape)
+    e0_t = as_tensor(e0)
     bsz, _, d = e0_t.data.shape
     mu, logvar = encode_statistics(e0_t, g)
     sigma = nm.exp(nm.scale(logvar, 0.5))
@@ -252,22 +264,16 @@ def generate_instance_prompts(e0, g: GeneratorParams, lam: int, rng: RngState | 
     zc = nm.constant(z, dtype=z.dtype)
     prompts = nm.add(nm.mul(zc, nm.reshape(sigma, (bsz, 1, d))),
                      nm.reshape(mu, (bsz, 1, d)))
-    if single:
-        return nm.reshape(prompts, (lam, d)), nm.reshape(mu, (d,)), nm.reshape(logvar, (d,))
     return prompts, mu, logvar
 
 
 def generate_direct_prompts(e0, g: DirectGeneratorParams) -> Tensor:
-    """Deterministic variant: the trunk emits lambda tokens directly."""
-    e0_t = e0 if isinstance(e0, Tensor) else Tensor(np.asarray(e0))
-    single = e0_t.data.ndim == 2
-    if single:
-        e0_t = nm.reshape(e0_t, (1,) + e0_t.data.shape)
+    """Deterministic variant: the trunk emits lambda tokens (B, lambda, d) directly."""
+    e0_t = as_tensor(e0)
     bsz, _, d = e0_t.data.shape
     pooled = _encoder_trunk(e0_t, g.conv1_w, g.conv1_b, g.conv2_w, g.conv2_b)
     flat = nm.add(nm.matmul(pooled, g.out_w), g.out_b)
-    out = nm.reshape(flat, (bsz, g.instance_tokens, d))
-    return nm.reshape(out, (g.instance_tokens, d)) if single else out
+    return nm.reshape(flat, (bsz, g.instance_tokens, d))
 
 
 def kl_to_standard_normal(mu, logvar):
@@ -276,8 +282,8 @@ def kl_to_standard_normal(mu, logvar):
 
     Accepts (d,) -> scalar or (B, d) -> (B,); differentiable when given Tensors.
     """
-    mu_t = mu if isinstance(mu, Tensor) else Tensor(np.asarray(mu))
-    lv_t = logvar if isinstance(logvar, Tensor) else Tensor(np.asarray(logvar))
+    mu_t = as_tensor(mu)
+    lv_t = as_tensor(logvar)
     one = nm.constant(1.0, dtype=mu_t.data.dtype)
     inner = nm.add(nm.add(nm.mul(mu_t, mu_t), nm.exp(lv_t)), nm.neg(nm.add(one, lv_t)))
     return nm.scale(nm.sum_(inner, axis=-1), 0.5)
@@ -324,7 +330,7 @@ def pca_project(z, m: int) -> PcaProjection:
     numerical rank are exact zeros; the stored basis is orthonormally
     completed to m columns.
     """
-    z_t = z if isinstance(z, Tensor) else Tensor(np.asarray(z))
+    z_t = as_tensor(z)
     p, d = z_t.data.shape
     if not 1 <= m <= d:
         raise ConfigError(f"retained dims m={m} outside [1, d={d}]")
@@ -375,8 +381,8 @@ def random_orthonormal_basis(d: int, m: int, rng: RngState, dtype=np.float32) ->
 def assemble_combined(proj, p_new) -> Tensor:
     """Per-token feature concatenation [coordinates | learnable remainder]."""
     coords = proj.coords if isinstance(proj, PcaProjection) else proj
-    coords_t = coords if isinstance(coords, Tensor) else Tensor(np.asarray(coords))
-    new_t = p_new if isinstance(p_new, Tensor) else Tensor(np.asarray(p_new))
+    coords_t = as_tensor(coords)
+    new_t = as_tensor(p_new)
     if coords_t.data.shape[:-1] != new_t.data.shape[:-1]:
         raise DimensionError(
             f"token counts differ: {coords_t.data.shape} vs {new_t.data.shape}"
@@ -410,13 +416,10 @@ def forward_viapt(e0, cfg: PromptConfig, prompts: DatasetPrompts, g,
     """
     cfg = cfg.resolved(vit.embed_dim)
     d, p, lam, m = vit.embed_dim, cfg.tokens, cfg.instance_tokens, cfg.retained_dims
-    e0_t = e0 if isinstance(e0, Tensor) else Tensor(np.asarray(e0))
-    single = e0_t.data.ndim == 2
-    if single:
-        e0_t = nm.reshape(e0_t, (1,) + e0_t.data.shape)
-    bsz, k, width = e0_t.data.shape
-    if width != d:
-        raise DimensionError(f"image tokens width {width} != embed dim {d}")
+    e0_t = as_tensor(e0)
+    if e0_t.data.ndim != 3 or e0_t.data.shape[-1] != d:
+        raise DimensionError(f"image tokens shaped {e0_t.data.shape}, config wants (B, k, {d})")
+    bsz = e0_t.data.shape[0]
     if prompts.dom.data.shape != (p - lam, d):
         raise ConfigError(
             f"dataset prompts shaped {prompts.dom.data.shape}, config wants {(p - lam, d)}"
@@ -483,12 +486,7 @@ def forward_viapt(e0, cfg: PromptConfig, prompts: DatasetPrompts, g,
         seq = layer_forward(seq, lp, vit)
     if capture is not None:
         capture.pca = captured_pca
-    logits = head(nm.reshape(seq.x, (bsz, -1)), backbone)
-    if single:
-        logits = nm.reshape(logits, (-1,))
-        if mu is not None:
-            mu, logvar = nm.reshape(mu, (-1,)), nm.reshape(logvar, (-1,))
-    return logits, mu, logvar
+    return head(nm.reshape(seq.x, (bsz, -1)), backbone), mu, logvar
 
 
 # --------------------------------------------------------------------------

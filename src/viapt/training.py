@@ -8,6 +8,7 @@ all reductions use a fixed summation order and the RNG is counter-based.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field
@@ -16,7 +17,15 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics as nm
-from .backbone import BackboneParams, ViTConfig, embed_patches, forward_plain, init_backbone, reinit_head
+from .backbone import (
+    BackboneParams,
+    ViTConfig,
+    embed_patches,
+    forward_plain,
+    init_backbone,
+    random_fill,
+    reinit_head,
+)
 from .errors import ConfigError, FormatError, NumericError
 from .numerics import ALGORITHM_ID, RngState, Tensor
 from .prompt_engine import (
@@ -30,6 +39,7 @@ from .prompt_engine import (
     init_direct_generator,
     init_generator,
     kl_to_standard_normal,
+    random_orthonormal_basis,
 )
 
 ADAM_BETA1 = 0.9
@@ -201,29 +211,53 @@ class PromptModel:
                              capture=capture, basis_override=basis)
 
 
-def build_model(vit: ViTConfig, pcfg: PromptConfig, init_rng: RngState,
-                backbone: BackboneParams, dtype=np.float32) -> PromptModel:
-    """Assemble prompts/generator around a (frozen) backbone. The generator
-    exists only for modes that use instance tokens."""
-    from .prompt_engine import random_orthonormal_basis
+def _init_random_basis(rng, name, shape, dtype):
+    return random_orthonormal_basis(*shape, rng.derive("random-projection-basis"), dtype=dtype)
 
+
+def build_model(vit: ViTConfig, pcfg: PromptConfig, init_rng: RngState | None,
+                backbone: BackboneParams, dtype=np.float32, fill=None) -> PromptModel:
+    """Assemble prompts/generator around a (frozen) backbone, drawn from
+    init_rng or taken from fill. The generator exists only for modes that use
+    instance tokens."""
+    fill = fill or random_fill(init_rng, dtype)
     rcfg = pcfg.resolved(vit.embed_dim)
-    prompts = init_dataset_prompts(rcfg, vit, init_rng, dtype=dtype)
+    d, lam = vit.embed_dim, rcfg.instance_tokens
+    prompts = init_dataset_prompts(rcfg, vit, None, fill=fill)
     generator = None
-    if rcfg.instance_tokens > 0:
+    if lam > 0:
         if rcfg.mode == "direct_generation":
-            generator = init_direct_generator(vit.embed_dim, rcfg.instance_tokens,
-                                              init_rng, dtype=dtype)
+            generator = init_direct_generator(d, lam, None, fill=fill)
         else:
-            generator = init_generator(vit.embed_dim, init_rng, dtype=dtype)
+            generator = init_generator(d, None, fill=fill)
     fixed_basis = None
     if rcfg.mode == "ablation_random_projection":
-        basis = random_orthonormal_basis(vit.embed_dim, rcfg.retained_dims,
-                                         init_rng.derive("random-projection-basis"),
-                                         dtype=dtype)
-        fixed_basis = Tensor(basis, name="aux.random_projection_basis")
+        name = "aux.random_projection_basis"
+        fixed_basis = Tensor(fill(name, (d, rcfg.retained_dims), _init_random_basis), name=name)
     return PromptModel(vit=vit, pcfg=rcfg, backbone=backbone, prompts=prompts,
                        generator=generator, fixed_basis=fixed_basis)
+
+
+def from_arrays(arrays: dict, vit: ViTConfig, dtype, pcfg: PromptConfig | None = None):
+    """The one constructor from a name->array map: the backbone, or with pcfg
+    the PromptModel around it (backbone frozen), with the names and trainable
+    flags a fresh init gives them, and no random draws. A tensor that is
+    missing, unexpected or shaped unlike the configs say raises FormatError."""
+    def fill(name, shape, init):
+        if name not in arrays:
+            raise FormatError(f"archive missing tensor '{name}'")
+        if arrays[name].shape != shape:
+            raise FormatError(f"tensor '{name}' shaped {arrays[name].shape}, config wants {shape}")
+        return arrays[name].astype(dtype, copy=False)
+
+    out = init_backbone(vit, None, dtype, fill=fill)
+    if pcfg is not None:
+        out.freeze()
+        out = build_model(vit, pcfg, None, out, dtype, fill=fill)
+    unexpected = sorted(set(arrays).difference(name for name, _ in out.named_tensors()))
+    if unexpected:
+        raise FormatError(f"unexpected tensor '{unexpected[0]}' in archive")
+    return out
 
 
 def actual_trainable_count(model: PromptModel) -> int:
@@ -267,7 +301,19 @@ def save_archive(path, tensors: dict, metadata: dict) -> None:
             buf += struct.pack("<Q", dim)
         buf += arr.astype(_CODE_DTYPES[code], copy=False).tobytes()
     buf += struct.pack("<I", zlib.crc32(bytes(buf)) & 0xFFFFFFFF)
-    Path(path).write_bytes(bytes(buf))
+    write_atomic(path, bytes(buf))
+
+
+def write_atomic(path, blob: bytes) -> None:
+    """Temp file in the same directory, then one rename: an interrupted write
+    leaves the previous file at path intact."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(blob)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 class _Reader:
@@ -318,7 +364,10 @@ def load_archive(path):
     tensors = {}
     for i in range(count):
         name_len = r.unpack("<H", f"entry {i} name length")
-        name = r.take(name_len, f"entry {i} name").decode("utf-8")
+        try:
+            name = r.take(name_len, f"entry {i} name").decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"entry {i} name is not UTF-8: {e}") from e
         code = r.unpack("<B", f"entry '{name}' dtype code")
         if code not in _CODE_DTYPES:
             raise FormatError(f"entry '{name}': unknown dtype code {code}")
@@ -355,8 +404,9 @@ def save_checkpoint(state: TrainState, path) -> None:
 
 def load_checkpoint(path, expect_precision: str | None = None) -> TrainState:
     """Inverse of save_checkpoint. Metadata that is missing a key, carries an
-    unknown config field or holds a config value that fails validation
-    raises FormatError."""
+    unknown config field or holds a config value that fails validation, and
+    a missing, unexpected or wrong-shaped tensor or moment, raise
+    FormatError."""
     tensors, metadata = load_archive(path)
     try:
         precision = metadata.get("precision")
@@ -375,29 +425,17 @@ def load_checkpoint(path, expect_precision: str | None = None) -> TrainState:
         dtype = dtype_for(precision)
     except (KeyError, TypeError, AttributeError, ConfigError) as e:
         raise FormatError(f"malformed checkpoint metadata: {e!r}") from e
-    backbone = init_backbone(vit, RngState(0), dtype=dtype)
-    backbone.freeze()
-    model = build_model(vit, pcfg, RngState(0), backbone, dtype=dtype)
+    moments = ("opt.m.", "opt.v.")
+    model = from_arrays({n: a for n, a in tensors.items() if not n.startswith(moments)},
+                        vit, dtype, pcfg)
     expected = dict(model.named_tensors())
     opt = OptimizerState(step=metadata.get("opt_step", 0))
     for name, arr in tensors.items():
-        if name.startswith("opt.m.") or name.startswith("opt.v."):
-            base = name[6:]
-            if base not in expected:
-                raise FormatError(f"optimizer moment for unknown tensor '{base}'")
-            slot = opt.slot(base, arr)
-            slot["m" if name.startswith("opt.m.") else "v"] = arr.astype(dtype, copy=False)
-            continue
-        if name not in expected:
-            raise FormatError(f"unexpected tensor '{name}' in archive")
-        if expected[name].data.shape != arr.shape:
-            raise FormatError(
-                f"tensor '{name}' shaped {arr.shape}, model wants {expected[name].data.shape}"
-            )
-        expected[name].data = arr.astype(dtype, copy=False)
-    missing = [n for n in expected if n not in tensors]
-    if missing:
-        raise FormatError(f"archive missing tensors: {missing[:4]}")
+        if name.startswith(moments):
+            kind, base = name[4], name[6:]  # "opt.m.<tensor>" or "opt.v.<tensor>"
+            if base not in expected or arr.shape != expected[base].data.shape:
+                raise FormatError(f"optimizer moment '{name}' matches no tensor of its shape")
+            opt.slot(base, arr)[kind] = arr.astype(dtype, copy=False)
     return TrainState(model=model, opt=opt, rng=rng, step=metadata.get("step", 0),
                       train_cfg=tcfg)
 
@@ -413,8 +451,8 @@ def save_backbone(backbone: BackboneParams, vit: ViTConfig, path, extra_meta=Non
 
 
 def load_backbone(path, expect_precision: str | None = None):
-    """Inverse of save_backbone; malformed or invalid metadata raises
-    FormatError."""
+    """Inverse of save_backbone; malformed or invalid metadata and missing,
+    unexpected or wrong-shaped tensors raise FormatError."""
     tensors, metadata = load_archive(path)
     try:
         if metadata.get("kind") != "backbone":
@@ -428,12 +466,7 @@ def load_backbone(path, expect_precision: str | None = None):
         dtype = dtype_for(precision)
     except (KeyError, TypeError, AttributeError, ConfigError) as e:
         raise FormatError(f"malformed backbone metadata: {e!r}") from e
-    backbone = init_backbone(vit, RngState(0), dtype=dtype)
-    for name, t in backbone.named_tensors():
-        if name not in tensors:
-            raise FormatError(f"backbone archive missing tensor '{name}'")
-        t.data = tensors[name].astype(dtype, copy=False)
-    return backbone, vit
+    return from_arrays(tensors, vit, dtype), vit
 
 
 # --------------------------------------------------------------------------
@@ -446,16 +479,36 @@ def _batches(n: int, batch_size: int, order=None):
         yield idx[start : start + batch_size]
 
 
-def _apply_gradients(params: dict, opt: OptimizerState, lr_t: float, cfg: TrainConfig):
-    """Clip the global gradient norm to cfg.clip_norm, take one AdamW step
-    and clear the gradients."""
-    grads = {name: t.grad for name, t in params.items() if t.grad is not None}
-    gnorm = global_grad_norm(grads)
-    if gnorm > cfg.clip_norm:
-        s = cfg.clip_norm / gnorm
-        grads = {k: g * s for k, g in grads.items()}
-    optimizer_step(params, grads, opt, lr_t, cfg.weight_decay)
-    nm.zero_grads(params.values())
+def _fit(params: dict, opt: OptimizerState, cfg: TrainConfig, n: int, shuffle_rng: RngState,
+         batch_loss, last_good=lambda: None):
+    """The step loop of train and pretrain_backbone; yields (epoch, step, lr)
+    after each epoch. Per epoch a fresh shuffle_rng permutation of the n
+    examples; per batch the warmup-cosine rate, batch_loss(indices), a finite
+    check naming the last good checkpoint, backward, and one AdamW step with
+    the global gradient norm clipped to cfg.clip_norm."""
+    steps_per_epoch = max((n + cfg.batch_size - 1) // cfg.batch_size, 1)
+    total_steps = cfg.epochs * steps_per_epoch
+    warmup_steps = cfg.warmup_epochs * steps_per_epoch
+    step = 0
+    for epoch in range(cfg.epochs):
+        order = shuffle_rng.permutation(n)
+        lr_t = 0.0
+        for sel in _batches(n, cfg.batch_size, order):
+            step += 1
+            lr_t = lr_schedule(step, total_steps, warmup_steps, cfg.lr)
+            total = batch_loss(sel)
+            if not np.isfinite(total.data):
+                ref = f" last good checkpoint: {last_good()}" if last_good() else ""
+                raise NumericError(f"non-finite loss at step {step};{ref}")
+            nm.backward(total)
+            grads = {name: t.grad for name, t in params.items() if t.grad is not None}
+            gnorm = global_grad_norm(grads)
+            if gnorm > cfg.clip_norm:
+                s = cfg.clip_norm / gnorm
+                grads = {k: g * s for k, g in grads.items()}
+            optimizer_step(params, grads, opt, lr_t, cfg.weight_decay)
+            nm.zero_grads(params.values())
+        yield epoch, step, lr_t
 
 
 def _evaluate_split(model: PromptModel, images, labels, batch_size: int, beta: float,
@@ -489,7 +542,7 @@ class TrainResult:
     metrics: list
 
 
-def _frozen_tensor_fingerprint(model: PromptModel):
+def _frozen_fingerprint(model: PromptModel):
     return {n: zlib.crc32(t.data.tobytes()) for n, t in model.named_tensors()
             if not t.trainable}
 
@@ -512,7 +565,7 @@ def train(cfg: TrainConfig, pcfg: PromptConfig, data: dict, backbone: BackbonePa
     init_rng = RngState(cfg.seed).derive("init")
     model = build_model(vit, pcfg, init_rng, backbone, dtype=dtype)
     reinit_head(backbone, vit, init_rng, vit.classes, dtype=dtype)
-    frozen_before = _frozen_tensor_fingerprint(model)
+    frozen_before = _frozen_fingerprint(model)
 
     train_x, train_y = data["train"]
     val_x, val_y = data.get("val", (train_x[:0], train_y[:0]))
@@ -520,9 +573,6 @@ def train(cfg: TrainConfig, pcfg: PromptConfig, data: dict, backbone: BackbonePa
     val_x = np.asarray(val_x, dtype=dtype)
     n = len(train_y)
     beta = model.pcfg.kl_weight
-    steps_per_epoch = max((n + cfg.batch_size - 1) // cfg.batch_size, 1)
-    total_steps = cfg.epochs * steps_per_epoch
-    warmup_steps = cfg.warmup_epochs * steps_per_epoch
 
     noise_rng = RngState(cfg.seed).derive("train-noise")
     shuffle_rng = RngState(cfg.seed).derive("shuffle")
@@ -535,37 +585,27 @@ def train(cfg: TrainConfig, pcfg: PromptConfig, data: dict, backbone: BackbonePa
     opt = OptimizerState()
     state = TrainState(model=model, opt=opt, rng=noise_rng, step=0, train_cfg=cfg)
     metrics: list[dict] = []
-    best = {"accuracy": -1.0, "loss": np.inf, "epoch": -1, "state_bytes": None}
+    best = {"accuracy": -1.0, "loss": np.inf, "epoch": -1}
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
-    trainable = dict(model.trainable_named())
-    last_good = None
-    step = 0
-    for epoch in range(cfg.epochs):
-        t0 = time.perf_counter()
-        order = shuffle_rng.permutation(n)
-        ep_sums = np.zeros(3, dtype=np.float64)
-        ep_correct = 0
-        lr_t = 0.0
-        for sel in _batches(n, cfg.batch_size, order):
-            step += 1
-            lr_t = lr_schedule(step, total_steps, warmup_steps, cfg.lr)
-            logits, mu, logvar = model.forward(train_x[sel], rng=noise_rng)
-            total, xent, kl = loss(logits, train_y[sel], mu, logvar, beta)
-            if not np.isfinite(total.data):
-                ref = f" last good checkpoint: {last_good}" if last_good else ""
-                raise NumericError(f"non-finite loss at step {step};{ref}")
-            nm.backward(total)
-            _apply_gradients(trainable, opt, lr_t, cfg)
-            ep_sums += np.array([xent.data, kl.data, total.data], dtype=np.float64) * len(sel)
-            ep_correct += int((np.argmax(logits.data, axis=-1) == train_y[sel]).sum())
+    tally = np.zeros(4, dtype=np.float64)  # this epoch's size-weighted xent, kl, total; correct
+
+    def batch_loss(sel):
+        logits, mu, logvar = model.forward(train_x[sel], rng=noise_rng)
+        total, xent, kl = loss(logits, train_y[sel], mu, logvar, beta)
+        tally[:3] += np.array([xent.data, kl.data, total.data], dtype=np.float64) * len(sel)
+        tally[3] += int((np.argmax(logits.data, axis=-1) == train_y[sel]).sum())
+        return total
+
+    t0 = time.perf_counter()
+    for epoch, step, lr_t in _fit(dict(model.trainable_named()), opt, cfg, n, shuffle_rng,
+                                  batch_loss, last_good=lambda: best.get("path")):
         state.step = step
         wall = time.perf_counter() - t0 if record_timing else 0.0
-        ep_sums /= n
-        metrics.append(_metric_record(epoch, "train", ep_sums[0], ep_sums[1], ep_sums[2],
-                                      ep_correct / n, lr_t, wall))
+        metrics.append(_metric_record(epoch, "train", *(tally / n), lr_t, wall))
+        tally[:] = 0.0
         vx, vk, vt, vacc = _evaluate_split(model, val_x, val_y, cfg.batch_size, beta, val_frozen)
         metrics.append(_metric_record(epoch, "val", vx, vk, vt, vacc, lr_t, 0.0))
         if (vacc > best["accuracy"]
@@ -574,12 +614,9 @@ def train(cfg: TrainConfig, pcfg: PromptConfig, data: dict, backbone: BackbonePa
             if out_path is not None:
                 save_checkpoint(state, out_path / "best.ckpt")
                 best["path"] = str(out_path / "best.ckpt")
-            else:
-                best["tensors"] = {name: t.data.copy() for name, t in model.named_tensors()}
-        if out_path is not None:
-            last_good = str(out_path / "best.ckpt") if "path" in best else None
+        t0 = time.perf_counter()
 
-    if not check_frozen_invariant(model, frozen_before):
+    if _frozen_fingerprint(model) != frozen_before:
         raise NumericError("frozen backbone tensor changed during prompt tuning")
     if out_path is not None:
         save_checkpoint(state, out_path / "final.ckpt")
@@ -587,10 +624,6 @@ def train(cfg: TrainConfig, pcfg: PromptConfig, data: dict, backbone: BackbonePa
             for rec in metrics:
                 f.write(json.dumps(rec) + "\n")
     return TrainResult(final=state, best=best, metrics=metrics)
-
-
-def check_frozen_invariant(model: PromptModel, fingerprint: dict) -> bool:
-    return _frozen_tensor_fingerprint(model) == fingerprint
 
 
 # --------------------------------------------------------------------------
@@ -602,28 +635,15 @@ def pretrain_backbone(vit: ViTConfig, data: dict, cfg: TrainConfig) -> BackboneP
     freeze. All prompt methods share the resulting checkpoint."""
     dtype = dtype_for(cfg.precision)
     backbone = init_backbone(vit, RngState(cfg.seed).derive("pretrain-init"), dtype=dtype)
-    backbone.unfreeze_all()
     train_x, train_y = data["train"]
     train_x = np.asarray(train_x, dtype=dtype)
-    n = len(train_y)
-    steps_per_epoch = max((n + cfg.batch_size - 1) // cfg.batch_size, 1)
-    total_steps = cfg.epochs * steps_per_epoch
-    warmup_steps = cfg.warmup_epochs * steps_per_epoch
-    shuffle_rng = RngState(cfg.seed).derive("pretrain-shuffle")
-    opt = OptimizerState()
-    named = dict(backbone.named_tensors())
-    step = 0
-    for _ in range(cfg.epochs):
-        order = shuffle_rng.permutation(n)
-        for sel in _batches(n, cfg.batch_size, order):
-            step += 1
-            lr_t = lr_schedule(step, total_steps, warmup_steps, cfg.lr)
-            e0 = embed_patches(train_x[sel], backbone, vit)
-            logits = forward_plain(e0, backbone, vit)
-            total, _, _ = loss(logits, train_y[sel], None, None, 0.0)
-            if not np.isfinite(total.data):
-                raise NumericError(f"non-finite pretraining loss at step {step}")
-            nm.backward(total)
-            _apply_gradients(named, opt, lr_t, cfg)
+
+    def batch_loss(sel):
+        logits = forward_plain(embed_patches(train_x[sel], backbone, vit), backbone, vit)
+        return loss(logits, train_y[sel], None, None, 0.0)[0]
+
+    for _ in _fit(dict(backbone.named_tensors()), OptimizerState(), cfg, len(train_y),
+                  RngState(cfg.seed).derive("pretrain-shuffle"), batch_loss):
+        pass
     backbone.freeze()
     return backbone

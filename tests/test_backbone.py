@@ -57,15 +57,15 @@ def test_token_count():
 
 def test_zero_image_embeds_to_position_encoding(tiny_vit):
     bb = f64_backbone(tiny_vit)
-    e0 = embed_patches(np.zeros((1, 8, 8)), bb, tiny_vit)
+    e0 = embed_patches(np.zeros((1, 8, 8))[None], bb, tiny_vit)
     pe = sinusoidal_position_encoding(tiny_vit.tokens, tiny_vit.embed_dim, np.float64)
-    assert np.array_equal(e0.data, pe)
+    assert np.array_equal(e0.data[0], pe)
 
 
 def test_embedding_matches_per_patch_matmul(tiny_vit):
     bb = f64_backbone(tiny_vit)
     img = RNG.standard_normal((1, 8, 8))
-    e0 = embed_patches(img, bb, tiny_vit).data
+    e0 = embed_patches(img[None], bb, tiny_vit).data[0]
     ps = tiny_vit.patch_side
     pe = sinusoidal_position_encoding(tiny_vit.tokens, tiny_vit.embed_dim, np.float64)
     grid = tiny_vit.image_side // ps
@@ -89,7 +89,21 @@ def test_patch_count_and_shape():
 def test_wrong_image_size_raises(tiny_vit):
     bb = f64_backbone(tiny_vit)
     with pytest.raises(DimensionError):
-        embed_patches(np.zeros((1, 6, 6)), bb, tiny_vit)
+        embed_patches(np.zeros((1, 1, 6, 6)), bb, tiny_vit)
+    with pytest.raises(DimensionError):  # every forward takes a batch
+        embed_patches(np.zeros((1, 8, 8)), bb, tiny_vit)
+
+
+def test_unbatched_tokens_rejected(tiny_vit):
+    bb = f64_backbone(tiny_vit)
+    tokens = np.zeros((tiny_vit.tokens, tiny_vit.embed_dim))
+    prompts = np.zeros((4, tiny_vit.embed_dim))
+    with pytest.raises(DimensionError):
+        forward_plain(tokens, bb, tiny_vit)
+    with pytest.raises(DimensionError):
+        forward_vpt_shallow(tokens, prompts, bb, tiny_vit)
+    with pytest.raises(DimensionError):
+        forward_vpt_deep(tokens, [prompts] * tiny_vit.layers, bb, tiny_vit)
 
 
 # -- transformer block ----------------------------------------------------------
@@ -205,31 +219,31 @@ def test_shallow_forward_matches_monolithic_sequence_oracle(tiny_vit):
     # re-derive the whole forward by materializing the concatenated sequence
     # once per layer with the independent block oracle
     bb = f64_backbone(tiny_vit)
-    img = RNG.standard_normal((1, 8, 8))
+    img = RNG.standard_normal((1, 8, 8))[None]
     prompts = RNG.standard_normal((4, 8))
     e0 = embed_patches(img, bb, tiny_vit)
     logits = forward_vpt_shallow(e0, prompts, bb, tiny_vit)
 
-    seq = np.concatenate([bb.cls_token.data[None, :], prompts, e0.data], axis=0)
+    seq = np.concatenate([bb.cls_token.data[None, :], prompts, e0.data[0]], axis=0)
     for lp in bb.layers:
         seq = attention_block_np(seq, layer_as_dict(lp), tiny_vit.heads)
     expect = seq[0] @ bb.head_w.data + bb.head_b.data
-    assert np.abs(logits.data - expect).max() < 1e-10
+    assert np.abs(logits.data[0] - expect).max() < 1e-10
 
 
 def test_head_contracts(tiny_vit):
     bb = f64_backbone(tiny_vit)
     bb.head_w.data = np.zeros_like(bb.head_w.data)
     bb.head_b.data = np.zeros_like(bb.head_b.data)
-    logits = head(RNG.standard_normal(8), bb)
-    assert logits.shape == (tiny_vit.classes,)
-    assert np.array_equal(logits.data, np.zeros(tiny_vit.classes))
+    logits = head(RNG.standard_normal(8)[None], bb)
+    assert logits.shape == (1, tiny_vit.classes)
+    assert np.array_equal(logits.data, np.zeros((1, tiny_vit.classes)))
     assert np.allclose(softmax_np(logits.data), 1.0 / tiny_vit.classes)
 
 
 def test_head_gradient_vs_finite_differences(tiny_vit):
     bb = f64_backbone(tiny_vit)
-    x = RNG.standard_normal(8)
+    x = RNG.standard_normal(8)[None]
     def f():
         return nm.sum_(nm.mul(head(x, bb), head(x, bb)))
     gmap = nm.backward(f())

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import struct
 import subprocess
 import sys
+import zlib
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -30,7 +32,7 @@ from viapt.harness import (
 )
 from viapt.numerics import ALGORITHM_ID
 from viapt.prompt_engine import PromptConfig
-from viapt.training import TrainConfig, save_archive
+from viapt.training import TrainConfig, load_archive, save_archive
 
 
 def file_hash(path):
@@ -115,6 +117,15 @@ def test_truncated_dataset_rejected(tmp_path):
     blob = p.read_bytes()
     p.write_bytes(blob[:-7])
     with pytest.raises(FormatError):
+        load_dataset_split(p)
+
+
+def test_label_outside_header_classes_rejected(tmp_path):
+    spec = SyntheticDatasetSpec(train_samples=30, image_side=8, classes=3)
+    images, labels = gen_dataset(spec)["train"]
+    p = tmp_path / "bad.viadata"
+    save_dataset_split(p, images, labels + 2, 3)
+    with pytest.raises(FormatError, match="label"):
         load_dataset_split(p)
 
 
@@ -308,6 +319,16 @@ def test_cli_bad_checkpoint_exits_4(tmp_path, metadata):
     assert "Traceback" not in proc.stderr
 
 
+def test_cli_eval_non_utf8_tensor_name_exits_4(tmp_path):
+    bad = tmp_path / "bad.ckpt"
+    save_archive(bad, {"placeholder": np.zeros(2, dtype=np.float32)}, {})
+    blob = bad.read_bytes()[:-4].replace(b"placeholder", b"\xff" * 11)
+    bad.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+    proc = run_cli("eval", "--checkpoint", str(bad), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_gen_data_deterministic(tmp_path):
     a = run_cli("gen-data", "--out", str(tmp_path / "a"), "--dataset", "class_template",
                 "--train-samples", "45")
@@ -410,12 +431,16 @@ def test_cmd_eval_multi_round_smoke(tiny_run_setup):
         assert summary["R"] == rounds and summary["n"] == len(records)
 
 
+def write_config_file(cfg, path):
+    path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.to_flat().items()))
+    return path
+
+
 def test_cli_train_empty_split_exits_2(tiny_run_setup, tmp_path):
     # a zero-image train.viadata is a well-formed file, so the refusal is a
     # config error raised before anything is built
     base, backbone_path, _ = tiny_run_setup
-    cfg_file = tmp_path / "tiny.cfg"
-    cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in base.to_flat().items()))
+    cfg_file = write_config_file(base, tmp_path / "tiny.cfg")
     data_dir = tmp_path / "data"
     write_dataset(data_dir, base.dataset)
     side = base.dataset.image_side
@@ -425,6 +450,46 @@ def test_cli_train_empty_split_exits_2(tiny_run_setup, tmp_path):
                    "--data", str(data_dir), "--out", str(tmp_path / "run"))
     assert proc.returncode == 2
     assert "no images" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+BAD_BACKBONE_TENSORS = {
+    "wrong_shape": lambda t: t.update(
+        {"backbone.layer0.attn.wq": t["backbone.layer0.attn.wq"][:, :6]}),
+    "unexpected_name": lambda t: t.update({"backbone.layer0.attn.extra": np.zeros(8)}),
+    "missing_tensor": lambda t: t.pop("backbone.layer0.attn.wq"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_BACKBONE_TENSORS)
+def test_cli_train_bad_backbone_tensor_exits_4(tiny_run_setup, tmp_path, case):
+    # CRC-valid archives with valid metadata; only the tensors are wrong
+    base, backbone_path, _ = tiny_run_setup
+    tensors, metadata = load_archive(backbone_path)
+    BAD_BACKBONE_TENSORS[case](tensors)
+    save_archive(tmp_path / "bad.ckpt", tensors, metadata)
+    proc = run_cli("train", "--config", str(write_config_file(base, tmp_path / "tiny.cfg")),
+                   "--backbone", str(tmp_path / "bad.ckpt"), "--out", str(tmp_path / "run"))
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("header_classes,code", [(3, 4), (50, 2)],
+                         ids=["beyond_header_classes", "beyond_checkpoint_classes"])
+def test_cli_eval_labels_outside_classes(tiny_run_setup, tmp_path, header_classes, code):
+    # a label beyond the file's own class count is a bad file (4); one the
+    # file allows but the checkpoint's head cannot score is a bad run (2)
+    from viapt.harness import cmd_train
+
+    base, backbone_path, _ = tiny_run_setup
+    cmd_train(replace(base, out_dir=str(tmp_path / "run")), backbone_path)
+    data_dir = tmp_path / "data"
+    write_dataset(data_dir, base.dataset)
+    images, labels, _ = load_dataset_split(data_dir / "test.viadata")
+    save_dataset_split(data_dir / "test.viadata", images, labels + 40, header_classes)
+    proc = run_cli("eval", "--checkpoint", str(tmp_path / "run" / "best.ckpt"),
+                   "--data", str(data_dir), "--out", str(tmp_path / "eval"))
+    assert proc.returncode == code
     assert "Traceback" not in proc.stderr
 
 

@@ -298,9 +298,9 @@ def test_monolithic_oracle_float64(tiny_vit, tiny_backbone):
                         dtype=np.float64)
     img = RNG.standard_normal((1, 8, 8))
     z = RngState(31).gaussian((2, 8), dtype=np.float64)
-    e0 = embed_patches(img, tiny_backbone, tiny_vit)
+    e0 = embed_patches(img[None], tiny_backbone, tiny_vit)
     logits, mu, logvar = forward_viapt(
-        nm.reshape(e0, (1,) + e0.data.shape), cfg, model.prompts, model.generator,
+        e0, cfg, model.prompts, model.generator,
         tiny_backbone, tiny_vit, None, frozen=FrozenForward(noise=z[None]))
     params = {name: t.data for name, t in model.named_tensors()}
     ref_logits, ref_mu, ref_lv = viapt_forward_np(img, params, tiny_vit, cfg.resolved(8), z)
@@ -315,9 +315,9 @@ def test_monolithic_oracle_float32(tiny_vit, tiny_backbone_f32):
                         dtype=np.float32)
     img = RNG.standard_normal((1, 8, 8)).astype(np.float32)
     z = RngState(31).gaussian((2, 8), dtype=np.float32)
-    e0 = embed_patches(img, tiny_backbone_f32, tiny_vit)
+    e0 = embed_patches(img[None], tiny_backbone_f32, tiny_vit)
     logits, _, _ = forward_viapt(
-        nm.reshape(e0, (1,) + e0.data.shape), cfg, model.prompts, model.generator,
+        e0, cfg, model.prompts, model.generator,
         tiny_backbone_f32, tiny_vit, None, frozen=FrozenForward(noise=z[None]))
     params = {name: t.data.astype(np.float64) for name, t in model.named_tensors()}
     ref_logits, _, _ = viapt_forward_np(img.astype(np.float64), params, tiny_vit,

@@ -1,4 +1,6 @@
 import json
+import os
+import struct
 import zlib
 from dataclasses import replace
 
@@ -8,7 +10,7 @@ import pytest
 import viapt.numerics as nm
 from viapt.errors import ConfigError, FormatError, NumericError
 from viapt.numerics import RngState, Tensor
-from viapt.prompt_engine import PromptConfig, kl_to_standard_normal
+from viapt.prompt_engine import MODES, PromptConfig, kl_to_standard_normal
 from viapt.training import (
     METRIC_KEYS,
     OptimizerState,
@@ -317,10 +319,11 @@ def test_bad_magic_rejected(tmp_path):
         load_archive(p)
 
 
-def test_checkpoint_state_round_trip(tiny_vit, tmp_path):
+@pytest.mark.parametrize("mode", MODES)
+def test_checkpoint_state_round_trip(tiny_vit, tmp_path, mode):
     bb = small_run_setup(tiny_vit)
     cfg = TrainConfig(epochs=1, warmup_epochs=0, batch_size=16, seed=7)
-    pcfg = PromptConfig(tokens=4, instance_tokens=2, retained_dims=2)
+    pcfg = PromptConfig(tokens=4, instance_tokens=2, retained_dims=2, mode=mode)
     res = train(cfg, pcfg, tiny_data(), bb, tiny_vit, out_dir=tmp_path / "run")
     path = tmp_path / "run" / "final.ckpt"
     state = load_checkpoint(path)
@@ -332,6 +335,34 @@ def test_checkpoint_state_round_trip(tiny_vit, tmp_path):
     resaved = tmp_path / "resaved.ckpt"
     save_checkpoint(state, resaved)
     assert resaved.read_bytes() == path.read_bytes()
+
+
+def test_interrupted_write_keeps_previous_archive(tiny_vit, tmp_path, monkeypatch):
+    bb = small_run_setup(tiny_vit)
+    pcfg = PromptConfig(tokens=4, instance_tokens=2, retained_dims=2)
+    cfg = TrainConfig(epochs=1, warmup_epochs=0, batch_size=16, seed=7)
+    train(cfg, pcfg, tiny_data(), bb, tiny_vit, out_dir=tmp_path / "run")
+    best = tmp_path / "run" / "best.ckpt"
+    before = best.read_bytes()
+
+    def interrupted(src, dst):
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(OSError, match="interrupted"):
+        train(replace(cfg, seed=8), pcfg, tiny_data(), bb, tiny_vit, out_dir=tmp_path / "run")
+    assert best.read_bytes() == before
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+        "best.ckpt", "final.ckpt", "metrics.jsonl"]
+
+
+def test_non_utf8_tensor_name_rejected(tmp_path):
+    p = tmp_path / "names.ckpt"
+    save_archive(p, {"placeholder": np.zeros(2, dtype=np.float32)}, {})
+    blob = p.read_bytes()[:-4].replace(b"placeholder", b"\xff" * 11)
+    p.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+    with pytest.raises(FormatError, match="UTF-8"):
+        load_archive(p)
 
 
 def test_cross_precision_load_rejected(tiny_vit, tmp_path):
@@ -364,6 +395,24 @@ def test_malformed_backbone_metadata_rejected(tmp_path, metadata):
         load_backbone(tmp_path / "bb.ckpt")
 
 
+BAD_BACKBONE_TENSORS = {
+    "wrong_shape": lambda t: t.update(
+        {"backbone.layer0.attn.wq": t["backbone.layer0.attn.wq"][:, :6]}),
+    "unexpected_name": lambda t: t.update({"backbone.layer0.attn.extra": np.zeros(8)}),
+    "missing_tensor": lambda t: t.pop("backbone.layer0.attn.wq"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_BACKBONE_TENSORS)
+def test_bad_backbone_tensors_rejected(tiny_vit, tmp_path, case):
+    save_backbone(small_run_setup(tiny_vit), tiny_vit, tmp_path / "bb.ckpt")
+    tensors, metadata = load_archive(tmp_path / "bb.ckpt")
+    BAD_BACKBONE_TENSORS[case](tensors)
+    save_archive(tmp_path / "bb.ckpt", tensors, metadata)
+    with pytest.raises(FormatError, match="shaped|unexpected|missing"):
+        load_backbone(tmp_path / "bb.ckpt")
+
+
 def test_rng_state_persisted_in_checkpoint(tiny_vit, tmp_path):
     bb = small_run_setup(tiny_vit)
     cfg = TrainConfig(epochs=1, warmup_epochs=0, batch_size=16, seed=7)
@@ -391,3 +440,13 @@ def test_pretraining_learns_rotation_pretext(tiny_vit):
     acc = (np.argmax(logits.data, -1) == y).mean()
     assert acc > 0.5  # far above the 0.25 chance rate
     assert not bb.patch_w.trainable and bb.head_w.trainable
+
+
+def test_pretraining_non_finite_loss_aborts(tiny_vit):
+    data = tiny_data(n=24, classes=4)
+    x, y = data["train"]
+    x = x.copy()
+    x[3, 0, 0, 0] = np.nan
+    cfg = TrainConfig(epochs=1, warmup_epochs=0, batch_size=8, seed=3)
+    with pytest.raises(NumericError, match="non-finite"):
+        pretrain_backbone(replace(tiny_vit, classes=4), {"train": (x, y)}, cfg)
