@@ -422,21 +422,6 @@ def _train_cell(cfg: RunConfig, backbone, data, mode, m, lam, seeds):
     return accs, trained
 
 
-def lr_sweep(cfg: RunConfig, backbone_path, lr_list, data=None) -> list[dict]:
-    """Optional learning-rate grid hook (not run by default): one training run
-    per candidate rate, best-validation accuracy reported per rate."""
-    if data is None:
-        data = gen_dataset(cfg.dataset)
-    backbone = _resolve_backbone(cfg, backbone_path)
-    rows = []
-    for lr in lr_list:
-        tcfg = replace(cfg.train, lr=float(lr))
-        res = train(tcfg, cfg.prompt, data, _clone_backbone(backbone, cfg.vit), cfg.vit)
-        rows.append({"lr": float(lr), "val_accuracy": res.best["accuracy"],
-                     "best_epoch": res.best["epoch"]})
-    return rows
-
-
 def cmd_sweep_m(cfg: RunConfig, backbone_path, m_list, with_and_without_instance=True,
                 seeds=None, data=None):
     """One training run per (m, lambda) cell with a shared frozen backbone.

@@ -246,6 +246,8 @@ def generate_instance_prompts(e0, g: GeneratorParams, lam: int, rng: RngState | 
 
     p_i = z_i * sigma + mu with z ~ N(0, I); gradients reach g through mu and
     sigma only (z is a constant). Returns (prompts (B, lam, d), mu, logvar).
+    frozen_noise is one (lam, d) block shared by every input or a (B, lam, d)
+    block per input; any other shape raises DimensionError.
     """
     if lam < 0:
         raise ConfigError(f"lambda={lam} must be non-negative")
@@ -257,6 +259,9 @@ def generate_instance_prompts(e0, g: GeneratorParams, lam: int, rng: RngState | 
         z = np.asarray(frozen_noise, dtype=e0_t.data.dtype)
         if z.shape == (lam, d):
             z = np.broadcast_to(z, (bsz, lam, d)).copy()
+        elif z.shape != (bsz, lam, d):
+            raise DimensionError(f"frozen noise shaped {z.shape}, "
+                                 f"want {(lam, d)} or {(bsz, lam, d)}")
     else:
         if rng is None:
             raise ConfigError("instance prompt sampling needs an rng or frozen noise")

@@ -493,16 +493,6 @@ def test_cli_eval_labels_outside_classes(tiny_run_setup, tmp_path, header_classe
     assert "Traceback" not in proc.stderr
 
 
-def test_lr_sweep_hook(tiny_run_setup):
-    from viapt.harness import lr_sweep
-
-    base, backbone_path, root = tiny_run_setup
-    cfg = replace(base, train=replace(base.train, epochs=1, warmup_epochs=0))
-    rows = lr_sweep(cfg, backbone_path, [1e-3, 1e-2])
-    assert [r["lr"] for r in rows] == [1e-3, 1e-2]
-    assert all(0.0 <= r["val_accuracy"] <= 1.0 for r in rows)
-
-
 def test_cmd_ablate_rows(tiny_run_setup):
     from viapt.harness import ablation_cells, cmd_ablate
 

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
-from viapt.backbone import ViTConfig, init_backbone
-from viapt.errors import ConfigError, ModeMismatchError
+from viapt.backbone import ViTConfig, embed_patches, init_backbone
+from viapt.errors import ConfigError, DimensionError, ModeMismatchError
 from viapt.harness import SyntheticDatasetSpec, gen_dataset
 from viapt.inference import InferenceConfig, evaluate_dataset, predict_probs
 from viapt.numerics import RngState
-from viapt.prompt_engine import FrozenForward, PromptConfig, count_parameters
+from viapt.prompt_engine import (
+    FrozenForward,
+    PromptConfig,
+    count_parameters,
+    generate_instance_prompts,
+)
 from viapt.training import TrainConfig, build_model, train
 
 RNG = np.random.default_rng(2718)
@@ -89,6 +94,19 @@ def test_shared_block_equals_per_image_copies(tiny_vit):
     shared = predict_probs(model, imgs, z)
     assert np.array_equal(shared, predict_probs(model, imgs, np.stack([z] * 2)))
     assert np.array_equal(shared, predict_probs(model, imgs, np.stack([z] * 2)[None]))
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (2, 4, 48), (5, 2, 4, 48)])
+def test_mismatched_noise_shape_raises(desk_vit, shape):
+    # a 3-image batch at lambda = 4, d = 48 takes (4, 48), (3, 4, 48) or (R, 3, 4, 48)
+    model = small_model(desk_vit, lam=4)
+    imgs = RNG.standard_normal((3, 1, 16, 16)).astype(np.float32)
+    z = np.zeros(shape, dtype=np.float32)
+    e0 = embed_patches(imgs, model.backbone, desk_vit)
+    with pytest.raises(DimensionError, match="noise shaped"):
+        generate_instance_prompts(e0, model.generator, 4, None, frozen_noise=z)
+    with pytest.raises(DimensionError, match="noise shaped"):
+        predict_probs(model, imgs, z)
 
 
 def test_lambda_zero_collapses_all_strategies(tiny_vit):

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import viapt
 import viapt.numerics as nm
+import viapt.numerics.tensor as tensor_module
 from viapt.backbone import embed_patches
 from viapt.errors import ConfigError, DimensionError
 from viapt.numerics import RngState
@@ -366,3 +373,51 @@ def test_backward_keeps_gradients_only_on_trainable_leaves(tiny_vit, tiny_model)
     assert kept and all(t.trainable for t in kept)
     assert {id(t) for t in kept} == {id(t) for t in gmap}
     assert all(t.grad is None for t in tape if not t.trainable)
+
+
+# Run in a fresh interpreter: heap state left by earlier tests would blur the
+# count at a process that trims freed memory.
+_PREDICTION_FAULT_PROBE = """
+import resource
+import numpy as np
+from viapt.backbone import ViTConfig, init_backbone
+from viapt.inference import predict_probs
+from viapt.numerics import RngState
+from viapt.prompt_engine import PromptConfig
+from viapt.training import build_model
+
+vit = ViTConfig(embed_dim=48, layers=4)
+backbone = init_backbone(vit, RngState(1), dtype=np.float32)
+backbone.freeze()
+pcfg = PromptConfig(tokens=8, instance_tokens=4, retained_dims=24)
+model = build_model(vit, pcfg, RngState(2), backbone, dtype=np.float32)
+images = RngState(3).gaussian((64, 1, 16, 16), dtype=np.float32)
+noise = RngState(4).gaussian((4, 48), dtype=np.float32)
+for _ in range(3):
+    predict_probs(model, images, noise)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    predict_probs(model, images, noise)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+"""
+
+
+def test_prediction_reuses_freed_heap():
+    if not tensor_module._keep_freed_heap():
+        pytest.skip("no glibc mallopt in this process")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(viapt.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _PREDICTION_FAULT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    # about 9,000 per call when glibc trims the freed activations
+    assert float(proc.stdout.split()[-1]) < 100
+
+
+@pytest.mark.parametrize("error", [OSError, AttributeError, TypeError])
+def test_heap_policy_without_mallopt_does_nothing(monkeypatch, error):
+    def missing(*args):
+        raise error("no mallopt here")
+
+    monkeypatch.setattr(tensor_module.ctypes, "CDLL", missing)
+    assert tensor_module._keep_freed_heap() is False
