@@ -10,7 +10,7 @@ classification head trains.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,6 +30,9 @@ class ViTConfig:
     classes: int = 5
 
     def __post_init__(self):
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ConfigError(f"{f.name}={getattr(self, f.name)} must be >= 1")
         if self.image_side % self.patch_side != 0:
             raise ConfigError(
                 f"image side {self.image_side} not divisible by patch side {self.patch_side}"

@@ -12,6 +12,8 @@ from pathlib import Path
 
 from .errors import ConfigError, FormatError, NumericError
 from .harness import (
+    CONFIG_SCHEMA,
+    DATASET_VARIANTS,
     EXPERIMENT_SEEDS,
     cmd_ablate,
     cmd_eval,
@@ -26,7 +28,6 @@ from .harness import (
     make_run_config,
     parse_config_file,
 )
-from .inference import InferenceConfig
 
 _MODE_FLAGS = {
     "viapt": "viapt",
@@ -38,41 +39,32 @@ _MODE_FLAGS = {
     "direct": "direct_generation",
 }
 _STRATEGY_FLAGS = {"multi": "multi_round", "fixed": "fixed_sampling", "direct": "direct"}
+_WRITES_OUTPUTS = ("gen-data", "pretrain-backbone", "train", "eval", "sweep-m", "ablate")
 
 
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--seed", type=int, help="training / data seed")
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--out", dest="out_dir", help="output directory")
     p.add_argument("--precision", choices=["f32", "f64"])
     p.add_argument("--mode", choices=sorted(_MODE_FLAGS))
-    p.add_argument("--m", type=int, help="retained dimensions")
+    p.add_argument("--m", dest="retained_dims", type=int, help="retained dimensions")
     p.add_argument("--lambda", dest="instance_tokens", type=int, help="instance tokens")
     p.add_argument("--strategy", choices=sorted(_STRATEGY_FLAGS))
     p.add_argument("--rounds", type=int, help="multi-round inference rounds")
     p.add_argument("--epochs", type=int)
     p.add_argument("--warmup-epochs", type=int)
     p.add_argument("--train-samples", type=int)
-    p.add_argument("--dataset", dest="dataset_variant",
-                   choices=["class_template", "instance_shift", "pretext_rotation"])
+    p.add_argument("--dataset", dest="dataset_variant", choices=DATASET_VARIANTS)
 
 
 def _config_from_args(args) -> "RunConfig":
+    """Every flag whose dest is a config key overrides the file; only the
+    --mode and --strategy aliases need translating."""
     file_overrides = parse_config_file(args.config) if args.config else {}
-    cli = {
-        "seed": args.seed,
-        "out_dir": args.out,
-        "precision": args.precision,
-        "mode": _MODE_FLAGS.get(args.mode) if args.mode else None,
-        "retained_dims": args.m,
-        "instance_tokens": args.instance_tokens,
-        "strategy": _STRATEGY_FLAGS.get(args.strategy) if args.strategy else None,
-        "rounds": args.rounds,
-        "epochs": args.epochs,
-        "warmup_epochs": args.warmup_epochs,
-        "train_samples": args.train_samples,
-        "dataset_variant": args.dataset_variant,
-    }
+    cli = {key: value for key, value in vars(args).items() if key in CONFIG_SCHEMA}
+    cli["mode"] = _MODE_FLAGS.get(args.mode)
+    cli["strategy"] = _STRATEGY_FLAGS.get(args.strategy)
     return make_run_config(file_overrides, cli)
 
 
@@ -99,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "eval":
             p.add_argument("--checkpoint", required=True)
             p.add_argument("--data", help="directory from gen-data (default: regenerate)")
-            p.add_argument("--noise-seed", type=int, default=0)
+            p.add_argument("--noise-seed", dest="noise_seed", type=int)
             p.add_argument("--split", default="test", choices=["train", "val", "test"])
         if name in ("sweep-m", "param-count"):
             p.add_argument("--m-list", help="comma-separated m values")
@@ -124,6 +116,9 @@ def _parse_int_list(text, default):
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = _config_from_args(args)
+    if args.command in _WRITES_OUTPUTS:
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+        (Path(cfg.out_dir) / "config.json").write_text(cfg.snapshot())
 
     if args.command == "gen-data":
         paths = cmd_gen_data(cfg)
@@ -148,12 +143,8 @@ def run(argv=None) -> int:
         if data is None:
             from .harness import gen_dataset
             data = gen_dataset(cfg.dataset)
-        icfg = InferenceConfig(strategy=cfg.infer.strategy, rounds=cfg.infer.rounds,
-                               noise_seed=args.noise_seed)
-        summary, _ = cmd_eval(args.checkpoint, data, icfg, out_dir=cfg.out_dir,
+        summary, _ = cmd_eval(args.checkpoint, data, cfg.infer, out_dir=cfg.out_dir,
                               split=args.split)
-        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-        (Path(cfg.out_dir) / "config.json").write_text(cfg.snapshot())
         print(json.dumps(summary, sort_keys=True))
         return 0
 

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -61,8 +63,10 @@ class SyntheticDatasetSpec:
             raise ConfigError(f"unknown dataset variant '{self.variant}'")
         if self.variant == "pretext_rotation" and self.classes != 4:
             raise ConfigError("pretext_rotation is a 4-way task; set classes=4")
-        if self.classes < 2 or self.train_samples < 1:
-            raise ConfigError("need at least 2 classes and 1 training sample")
+        if self.classes < 2 or self.train_samples < 1 or self.image_side < 1:
+            raise ConfigError("need at least 2 classes, 1 training sample and 1 pixel a side")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"dataset seed {self.seed} outside [0, 2**64)")
 
 
 def _templates(spec: SyntheticDatasetSpec, count: int) -> np.ndarray:
@@ -235,81 +239,72 @@ class RunConfig:
     out_dir: str = "runs/out"
 
     def to_flat(self) -> dict:
-        flat = {}
-        for section, names in _CONFIG_KEYS.items():
-            obj = getattr(self, section)
-            for key, attr in names.items():
-                flat[key] = getattr(obj, attr)
-        flat["out_dir"] = self.out_dir
-        return flat
+        return {key: getattr(getattr(self, section) if section else self, attr)
+                for key, (section, attr, _) in CONFIG_SCHEMA.items()}
 
     def snapshot(self) -> str:
         return json.dumps(self.to_flat(), sort_keys=True, indent=1)
 
 
-_CONFIG_KEYS = {
-    "vit": {
-        "image_side": "image_side", "patch_side": "patch_side", "embed_dim": "embed_dim",
-        "layers": "layers", "heads": "heads", "mlp_ratio": "mlp_ratio", "classes": "classes",
-    },
-    "prompt": {
-        "prompt_tokens": "tokens", "instance_tokens": "instance_tokens",
-        "retained_dims": "retained_dims", "kl_weight": "kl_weight", "mode": "mode",
-    },
-    "train": {
-        "lr": "lr", "weight_decay": "weight_decay", "batch_size": "batch_size",
-        "epochs": "epochs", "warmup_epochs": "warmup_epochs", "clip_norm": "clip_norm",
-        "seed": "seed", "precision": "precision",
-    },
-    "infer": {"strategy": "strategy", "rounds": "rounds", "noise_seed": "noise_seed"},
-    "dataset": {
-        "dataset_variant": "variant", "dataset_classes": "classes",
-        "train_samples": "train_samples", "dataset_side": "image_side",
-        "dataset_noise": "noise", "dataset_seed": "seed",
-    },
+# A flat key is its field's name, except for these six, renamed so that keys
+# from different sections cannot clash or be mistaken for one another.
+_RENAMED = {
+    ("prompt", "tokens"): "prompt_tokens",
+    ("dataset", "variant"): "dataset_variant",
+    ("dataset", "classes"): "dataset_classes",
+    ("dataset", "image_side"): "dataset_side",
+    ("dataset", "noise"): "dataset_noise",
+    ("dataset", "seed"): "dataset_seed",
 }
 
-_KEY_TO_SECTION = {key: (section, attr)
-                   for section, names in _CONFIG_KEYS.items()
-                   for key, attr in names.items()}
 
-_INT_KEYS = {
-    "image_side", "patch_side", "embed_dim", "layers", "heads", "mlp_ratio", "classes",
-    "prompt_tokens", "instance_tokens", "retained_dims", "batch_size", "epochs",
-    "warmup_epochs", "seed", "rounds", "noise_seed", "dataset_classes", "train_samples",
-    "dataset_side", "dataset_seed",
-}
-_FLOAT_KEYS = {"kl_weight", "lr", "weight_decay", "clip_norm", "dataset_noise"}
+def _config_schema() -> dict:
+    """Flat key -> (section, field, type) for every field of RunConfig's five
+    config sections, and for out_dir (section None)."""
+    schema = {}
+    for name, kind in get_type_hints(RunConfig).items():
+        if not is_dataclass(kind):
+            schema[name] = (None, name, kind)
+            continue
+        for attr, attr_kind in get_type_hints(kind).items():
+            schema[_RENAMED.get((name, attr), attr)] = (name, attr, attr_kind)
+    return schema
+
+
+CONFIG_SCHEMA = _config_schema()
 
 
 def _coerce(key: str, value: str):
-    value = value.strip()
-    if key in _INT_KEYS:
-        if value.lower() in ("none", ""):
-            return None
-        try:
-            return int(value)
-        except ValueError as e:
-            raise ConfigError(f"key '{key}' wants an integer, got '{value}'") from e
-    if key in _FLOAT_KEYS:
-        try:
-            return float(value)
-        except ValueError as e:
-            raise ConfigError(f"key '{key}' wants a number, got '{value}'") from e
-    return value
+    """A file value parsed as its field's type; 'none' or an empty value gives
+    None where the field allows it."""
+    kind = CONFIG_SCHEMA[key][2]
+    if type(None) in get_args(kind) and value.lower() in ("none", ""):
+        return None
+    parse = next(t for t in get_args(kind) or (kind,) if t is not type(None))
+    try:
+        parsed = parse(value)
+    except ValueError as e:
+        raise ConfigError(f"key '{key}' wants {parse.__name__}, got '{value}'") from e
+    if parse is float and not math.isfinite(parsed):
+        raise ConfigError(f"key '{key}' wants a finite number, got '{value}'")
+    return parsed
 
 
 def parse_config_file(path) -> dict:
     """Flat key=value text; # comments; unknown keys are errors."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read config file: {e}") from e
     overrides = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got '{raw.strip()}'")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key not in _KEY_TO_SECTION and key != "out_dir":
+        if key not in CONFIG_SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
         overrides[key] = _coerce(key, value)
     return overrides
@@ -317,27 +312,18 @@ def parse_config_file(path) -> dict:
 
 def make_run_config(file_overrides: dict | None = None, cli_overrides: dict | None = None) -> RunConfig:
     """Defaults <- config file <- CLI flags (later wins); unknown keys error."""
-    merged = {}
+    sections = {}  # section -> {field: value}; None holds RunConfig's own fields
     for source in (file_overrides or {}, cli_overrides or {}):
         for key, value in source.items():
             if value is None:
                 continue
-            if key not in _KEY_TO_SECTION and key != "out_dir":
+            if key not in CONFIG_SCHEMA:
                 raise ConfigError(f"unknown config key '{key}'")
-            merged[key] = value
-    sections = {"vit": {}, "prompt": {}, "train": {}, "infer": {}, "dataset": {}}
-    out_dir = merged.pop("out_dir", "runs/out")
-    for key, value in merged.items():
-        section, attr = _KEY_TO_SECTION[key]
-        sections[section][attr] = value
-    return RunConfig(
-        vit=ViTConfig(**sections["vit"]),
-        prompt=PromptConfig(**sections["prompt"]),
-        train=TrainConfig(**sections["train"]),
-        infer=InferenceConfig(**sections["infer"]),
-        dataset=SyntheticDatasetSpec(**sections["dataset"]),
-        out_dir=out_dir,
-    )
+            section, attr, _ = CONFIG_SCHEMA[key]
+            sections.setdefault(section, {})[attr] = value
+    kinds = get_type_hints(RunConfig)
+    return RunConfig(**sections.pop(None, {}),
+                     **{name: kinds[name](**values) for name, values in sections.items()})
 
 
 # --------------------------------------------------------------------------
@@ -345,9 +331,7 @@ def make_run_config(file_overrides: dict | None = None, cli_overrides: dict | No
 # --------------------------------------------------------------------------
 
 def cmd_gen_data(cfg: RunConfig) -> dict:
-    paths = write_dataset(cfg.out_dir, cfg.dataset)
-    (Path(cfg.out_dir) / "config.json").write_text(cfg.snapshot())
-    return paths
+    return write_dataset(cfg.out_dir, cfg.dataset)
 
 
 def cmd_pretrain_backbone(cfg: RunConfig, out_path=None) -> str:
@@ -385,10 +369,7 @@ def cmd_train(cfg: RunConfig, backbone_path, data=None, record_timing=False) -> 
     if data is None:
         data = gen_dataset(cfg.dataset)
     backbone = _clone_backbone(_resolve_backbone(cfg, backbone_path), cfg.vit)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(cfg.snapshot())
-    return train(cfg.train, cfg.prompt, data, backbone, cfg.vit, out_dir=out,
+    return train(cfg.train, cfg.prompt, data, backbone, cfg.vit, out_dir=cfg.out_dir,
                  record_timing=record_timing)
 
 
@@ -455,7 +436,6 @@ def cmd_sweep_m(cfg: RunConfig, backbone_path, m_list, with_and_without_instance
             })
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(cfg.snapshot())
     write_sweep_csv(out / "sweep_m.csv", rows)
     return rows, per_seed
 
@@ -589,12 +569,13 @@ def cmd_gradcheck(cfg: RunConfig, batch: int = 4, h: float = 1e-5,
                   threshold: float = 1e-4) -> dict:
     """Central finite differences against the tape for every trainable tensor.
 
-    Requires float64. The forward's per-pass constants (sampled noise, PCA
-    statistics) are captured once at the base point and replayed for every
-    perturbed evaluation, since the training gradient is defined with those
-    held constant. Entries where both the analytic and numeric gradient are
-    below GRADCHECK_ZERO_FLOOR count as exact: at that scale the central
-    difference is dominated by floating-point cancellation, not signal.
+    Requires float64. The forward's per-pass constants are fixed once: the
+    instance noise is drawn up front, and the PCA statistics are captured at
+    the base point. Every perturbed evaluation replays both, since the
+    training gradient is defined with those held constant. Entries where
+    both the analytic and numeric gradient are below GRADCHECK_ZERO_FLOOR
+    count as exact: at that scale the central difference is dominated by
+    floating-point cancellation, not signal.
     """
     if cfg.train.precision != "f64":
         raise ConfigError("gradient checking requires precision=f64")
@@ -610,16 +591,18 @@ def cmd_gradcheck(cfg: RunConfig, batch: int = 4, h: float = 1e-5,
     images = data_rng.gaussian((batch, 1, vit.image_side, vit.image_side), dtype=dtype)
     labels = np.floor(data_rng.uniform((batch,), 0, vit.classes, dtype=np.float64)).astype(int)
 
-    frozen = FrozenForward()
-    noise_rng = RngState(cfg.train.seed).derive("gradcheck-noise")
+    noise = None
+    if rcfg.probabilistic:
+        noise = RngState(cfg.train.seed).derive("gradcheck-noise").gaussian(
+            (batch, rcfg.instance_tokens, vit.embed_dim), dtype=dtype)
+    frozen = FrozenForward(noise=noise)
 
-    def loss_value(capture=None, replay=None):
-        logits, mu, logvar = model.forward(images, rng=noise_rng.clone(),
-                                           frozen=replay, capture=capture)
+    def loss_value(capture=None):
+        logits, mu, logvar = model.forward(images, rng=None, frozen=frozen, capture=capture)
         total, _, _ = loss(logits, labels, mu, logvar, rcfg.kl_weight)
         return total
 
-    total = loss_value(capture=frozen)
+    total = loss_value(capture=frozen)  # fills frozen.pca for every replay below
     backward(total)
     report = {"tensors": {}, "max_rel_error": 0.0, "passed": True, "threshold": threshold}
     for name, tensor in model.trainable_named():
@@ -630,9 +613,9 @@ def cmd_gradcheck(cfg: RunConfig, batch: int = 4, h: float = 1e-5,
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            up = float(loss_value(replay=frozen).data)
+            up = float(loss_value().data)
             flat[i] = orig - h
-            down = float(loss_value(replay=frozen).data)
+            down = float(loss_value().data)
             flat[i] = orig
             fd = (up - down) / (2.0 * h)
             denom = max(abs(fd), abs(grad_flat[i]))

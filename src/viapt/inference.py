@@ -38,6 +38,8 @@ class InferenceConfig:
             raise ConfigError(f"unknown strategy '{self.strategy}' (choose from {STRATEGIES})")
         if self.rounds < 1:
             raise ConfigError(f"rounds R={self.rounds} must be >= 1")
+        if not 0 <= self.noise_seed < 2**64:
+            raise ConfigError(f"noise seed {self.noise_seed} outside [0, 2**64)")
 
 
 def _check_probabilistic(model: PromptModel, strategy: str):

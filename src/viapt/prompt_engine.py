@@ -153,9 +153,10 @@ class PcaProjection:
 
 @dataclass
 class FrozenForward:
-    """Per-forward constants (sampled noise, per-layer projection stats) that
-    can be captured once and replayed, e.g. for finite-difference checks or
-    fixed-sampling inference. layer1_prompts is capture-only diagnostics."""
+    """Per-forward constants replayed, e.g. for finite-difference checks or
+    fixed-sampling inference: the instance noise, which the caller draws, and
+    the per-layer projection stats, which a forward can capture.
+    layer1_prompts is capture-only diagnostics."""
 
     noise: np.ndarray | None = None
     pca: list | None = None
@@ -173,7 +174,7 @@ def init_dataset_prompts(cfg: PromptConfig, vit: ViTConfig, rng: RngState | None
     p, lam, m, d = cfg.tokens, cfg.instance_tokens, cfg.retained_dims, vit.embed_dim
     dom = param(fill, "prompt.dom", (p - lam, d), init_uniform(np.sqrt(6.0 / (d + p))))
     new = []
-    if cfg.mode != "ablation_no_pca" and m < d:
+    if m < d:
         width = d - m
         init = init_uniform(np.sqrt(6.0 / (width + p)))
         new = [param(fill, f"prompt.new.{i}", (p, width), init) for i in range(1, vit.layers)]
@@ -417,7 +418,8 @@ def forward_viapt(e0, cfg: PromptConfig, prompts: DatasetPrompts, g,
     unchanged (shallow equivalence); m = 0 uses only the learnable components
     (deep equivalence). Ablations: no_instance drops the sampled tokens,
     no_pca propagates outputs unchanged while keeping them, and
-    random_projection swaps the fitted basis for a fixed random one.
+    random_projection swaps the fitted basis for basis_override, the fixed
+    random one that build_model draws once per run.
     """
     cfg = cfg.resolved(vit.embed_dim)
     d, p, lam, m = vit.embed_dim, cfg.tokens, cfg.instance_tokens, cfg.retained_dims
@@ -431,15 +433,10 @@ def forward_viapt(e0, cfg: PromptConfig, prompts: DatasetPrompts, g,
         )
     if lam > 0 and g is None:
         raise ConfigError("lambda > 0 requires a prompt generator")
-    if cfg.mode == "ablation_random_projection" and basis_override is None:
-        # standalone calls derive the fixed basis from the caller's stream;
-        # models built for a run carry one drawn once at init (see build_model)
-        if rng is None:
-            raise ConfigError("random-projection ablation needs a fixed basis or an rng")
-        basis_override = random_orthonormal_basis(d, m, rng.derive("random-projection-basis"),
-                                                  dtype=e0_t.data.dtype)
-    elif cfg.mode != "ablation_random_projection":
+    if cfg.mode != "ablation_random_projection":
         basis_override = None
+    elif basis_override is None:
+        raise ConfigError("random-projection ablation needs the model's fixed basis")
 
     mu = logvar = None
     blocks = []
@@ -448,11 +445,6 @@ def forward_viapt(e0, cfg: PromptConfig, prompts: DatasetPrompts, g,
             blocks.append(generate_direct_prompts(e0_t, g))
         else:
             frozen_noise = frozen.noise if frozen is not None else None
-            if capture is not None and frozen_noise is None:
-                # draw from the same stream position the live path would use
-                frozen_noise = rng.gaussian((bsz, lam, d), dtype=e0_t.data.dtype)
-            if capture is not None:
-                capture.noise = frozen_noise
             ins, mu, logvar = generate_instance_prompts(e0_t, g, lam, rng, frozen_noise)
             blocks.append(ins)
     if p - lam > 0:
@@ -466,7 +458,7 @@ def forward_viapt(e0, cfg: PromptConfig, prompts: DatasetPrompts, g,
     if capture is not None:
         capture.layer1_prompts = block.data.copy()
 
-    propagate_unchanged = (m == d) or cfg.mode == "ablation_no_pca"
+    propagate_unchanged = m == d
     if not propagate_unchanged and m > 0 and len(prompts.new) != vit.layers - 1:
         raise ConfigError(
             f"need {vit.layers - 1} per-layer component blocks, got {len(prompts.new)}"

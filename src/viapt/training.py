@@ -77,6 +77,8 @@ class TrainConfig:
             raise ConfigError(f"warmup {self.warmup_epochs} exceeds epochs {self.epochs}")
         if self.precision not in ("f32", "f64"):
             raise ConfigError(f"precision must be f32 or f64, got {self.precision}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed {self.seed} outside [0, 2**64)")
 
 
 def dtype_for(precision: str):

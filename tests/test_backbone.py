@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,9 @@ def test_vit_config_validation():
         ViTConfig(image_side=15, patch_side=4)
     with pytest.raises(ConfigError):
         ViTConfig(embed_dim=50, heads=4)
+    for f in fields(ViTConfig):
+        with pytest.raises(ConfigError, match=f.name):
+            ViTConfig(**{f.name: 0})
 
 
 def test_token_count():

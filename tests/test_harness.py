@@ -1,10 +1,11 @@
 import hashlib
 import json
+import random
 import struct
 import subprocess
 import sys
 import zlib
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from viapt.harness import (
     write_dataset,
     write_sweep_csv,
 )
+from viapt.inference import InferenceConfig
 from viapt.numerics import ALGORITHM_ID
 from viapt.prompt_engine import PromptConfig
 from viapt.training import TrainConfig, load_archive, save_archive
@@ -171,6 +173,14 @@ def test_unknown_config_key_fails_loudly(tmp_path):
         parse_config_file(p)
 
 
+def test_unreadable_config_file_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read"):
+        parse_config_file(tmp_path / "missing.cfg")
+    (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe = 1\n")
+    with pytest.raises(ConfigError, match="cannot read"):
+        parse_config_file(tmp_path / "binary.cfg")
+
+
 def test_bad_value_type_rejected(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("epochs = banana\n")
@@ -191,6 +201,82 @@ def test_run_config_snapshot_round_trips():
     flat = json.loads(cfg.snapshot())
     rebuilt = make_run_config(flat)
     assert rebuilt.snapshot() == cfg.snapshot()
+
+
+def test_every_field_is_a_key_and_survives_a_file_round_trip(tmp_path):
+    # every field differs from its default, so a field the file dropped would
+    # come back as its default and fail the comparison
+    cfg = RunConfig(
+        vit=ViTConfig(image_side=12, patch_side=3, embed_dim=12, layers=2, heads=3,
+                      mlp_ratio=3, classes=4),
+        prompt=PromptConfig(tokens=6, instance_tokens=2, retained_dims=5, kl_weight=0.5,
+                            mode="vpt_deep"),
+        train=TrainConfig(lr=2e-3, weight_decay=0.1, batch_size=8, epochs=3,
+                          warmup_epochs=1, clip_norm=2.5, seed=7, precision="f64"),
+        infer=InferenceConfig(strategy="fixed_sampling", rounds=3, noise_seed=5),
+        dataset=SyntheticDatasetSpec(variant="class_template", classes=3, train_samples=30,
+                                     image_side=12, noise=0.2, seed=4),
+        out_dir="runs/elsewhere",
+    )
+    sections = [cfg.vit, cfg.prompt, cfg.train, cfg.infer, cfg.dataset]
+    for section in sections:
+        for f in fields(section):
+            assert getattr(section, f.name) != f.default, f.name
+    assert len(cfg.to_flat()) == 1 + sum(len(fields(section)) for section in sections)
+    rebuilt = make_run_config(parse_config_file(write_config_file(cfg, tmp_path / "all.cfg")))
+    assert rebuilt == cfg
+    assert rebuilt.snapshot() == cfg.snapshot()
+
+
+def test_config_line_fuzzer(tmp_path):
+    """Mutated lines of configs/desk.cfg raise ConfigError or nothing: every
+    key set to each bad value, then seeded runs of one to three mutations
+    (drop the '=', set a bad value, take another key's value, add an unknown
+    key)."""
+    lines = (Path(__file__).parents[1] / "configs" / "desk.cfg").read_text().splitlines()
+    bad_values = ["0", "-1", "nan", "none", ""]
+    rng = random.Random(8)
+
+    def keyed(text):
+        return [i for i, line in enumerate(text) if "=" in line and not line.startswith("#")]
+
+    def mutate(text, kind, i, value=None):
+        text = list(text)
+        key, own = text[i].split("=", 1)
+        if kind == "drop_equals":
+            text[i] = f"{key} {own}"
+        elif kind == "set":
+            text[i] = f"{key}= {value}"
+        elif kind == "swap":
+            text[i] = f"{key}={text[value].split('=', 1)[1]}"
+        else:
+            text.insert(i, f"unknown_{value} = 1")
+        return text
+
+    cases = [mutate(lines, "drop_equals", i) for i in keyed(lines)]
+    cases += [mutate(lines, "set", i, v) for i in keyed(lines) for v in bad_values]
+    for _ in range(400):
+        text = lines
+        for _ in range(rng.randint(1, 3)):
+            rows = keyed(text)
+            kind = rng.choice(["drop_equals", "set", "swap", "unknown"])
+            value = {"set": rng.choice(bad_values), "swap": rng.choice(rows),
+                     "unknown": rng.randrange(100)}.get(kind)
+            text = mutate(text, kind, rng.choice(rows), value)
+        cases.append(text)
+
+    path = tmp_path / "fuzz.cfg"
+    failures = []
+    for text in cases:
+        path.write_text("\n".join(text) + "\n")
+        try:
+            cfg = make_run_config(parse_config_file(path))
+            cfg.prompt.resolved(cfg.vit.embed_dim)
+        except ConfigError:
+            pass
+        except Exception as e:  # anything else is a finding; collect it, keep fuzzing
+            failures.append(f"{type(e).__name__}: {e} <- {text}")
+    assert not failures, f"{len(failures)} of {len(cases)} cases, first: {failures[0]}"
 
 
 # -- gradient check -----------------------------------------------------------------
@@ -303,11 +389,14 @@ def test_cli_unknown_config_key_exits_2(tmp_path):
     {"config": {"vit": {**asdict(ViTConfig()), "heads": 5}, "prompt": asdict(PromptConfig()),
                 "train": None},
      "rng": {"algorithm": ALGORITHM_ID, "seed": 0, "counter": 0}, "precision": "f32"},
+    {"config": {"vit": {**asdict(ViTConfig()), "heads": 0}, "prompt": asdict(PromptConfig()),
+                "train": None},
+     "rng": {"algorithm": ALGORITHM_ID, "seed": 0, "counter": 0}, "precision": "f32"},
     {"config": {"vit": asdict(ViTConfig()), "prompt": {**asdict(PromptConfig()), "retained_dims": 99},
                 "train": None},
      "rng": {"algorithm": ALGORITHM_ID, "seed": 0, "counter": 0}, "precision": "f32"},
 ], ids=["garbage", "empty_metadata", "unknown_prompt_field", "invalid_vit_heads",
-        "retained_dims_beyond_embed_dim"])
+        "zero_vit_heads", "retained_dims_beyond_embed_dim"])
 def test_cli_bad_checkpoint_exits_4(tmp_path, metadata):
     bad = tmp_path / "bad.ckpt"
     if metadata is None:
@@ -326,6 +415,17 @@ def test_cli_eval_non_utf8_tensor_name_exits_4(tmp_path):
     bad.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
     proc = run_cli("eval", "--checkpoint", str(bad), "--out", str(tmp_path / "o"))
     assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("line", ["heads = 0", "patch_side = 0", "embed_dim = 0",
+                                  "mlp_ratio = 0", "dataset_side = 0", "seed = -1",
+                                  "dataset_seed = -1", "noise_seed = -1"])
+def test_cli_bad_config_value_exits_2(tmp_path, line):
+    p = tmp_path / "bad.cfg"
+    p.write_text(line + "\n")
+    proc = run_cli("gen-data", "--config", str(p), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
 
 
@@ -381,7 +481,6 @@ def test_cmd_train_smoke_and_mode_routing(tiny_run_setup):
                       out_dir=str(root / f"run_{mode}"))
         res = cmd_train(cfg, backbone_path)
         out = Path(cfg.out_dir)
-        assert (out / "config.json").exists()
         assert (out / "final.ckpt").exists()
         lines = (out / "metrics.jsonl").read_text().splitlines()
         assert len(lines) == 2 * 2  # epochs * splits
@@ -434,6 +533,49 @@ def test_cmd_eval_multi_round_smoke(tiny_run_setup):
 def write_config_file(cfg, path):
     path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.to_flat().items()))
     return path
+
+
+def test_cli_every_output_command_writes_config_json(tiny_run_setup, tmp_path):
+    from viapt.cli import run
+
+    base, backbone_path, _ = tiny_run_setup
+    cfg = replace(base, train=replace(base.train, epochs=1, warmup_epochs=0))
+    cfg_file = str(write_config_file(cfg, tmp_path / "tiny.cfg"))
+    commands = {
+        "gen-data": [],
+        "pretrain-backbone": [],
+        "train": ["--backbone", backbone_path],
+        "eval": ["--checkpoint", str(tmp_path / "train" / "best.ckpt")],
+        "sweep-m": ["--backbone", backbone_path, "--m-list", "0", "--seeds", "1",
+                    "--no-instance-compare"],
+        "ablate": ["--backbone", backbone_path, "--seeds", "1"],
+    }
+    for command, extra in commands.items():
+        out = tmp_path / command
+        assert run([command, "--config", cfg_file, "--out", str(out), *extra]) == 0
+        snapshot = json.loads((out / "config.json").read_text())
+        assert snapshot == replace(cfg, out_dir=str(out)).to_flat(), command
+
+
+def test_cli_eval_noise_seed_from_file_or_flag(tiny_run_setup, tmp_path):
+    from viapt.harness import cmd_train
+
+    base, backbone_path, _ = tiny_run_setup
+    cmd_train(replace(base, out_dir=str(tmp_path / "run")), backbone_path)
+    plain = str(write_config_file(base, tmp_path / "plain.cfg"))
+    seeded = replace(base, infer=replace(base.infer, noise_seed=5))
+    runs = {"file": ["--config", str(write_config_file(seeded, tmp_path / "seeded.cfg"))],
+            "flag": ["--config", plain, "--noise-seed", "5"],
+            "default": ["--config", plain]}
+    predictions = {}
+    for name, args in runs.items():
+        proc = run_cli("eval", "--checkpoint", str(tmp_path / "run" / "best.ckpt"),
+                       "--strategy", "fixed", *args, "--out", str(tmp_path / name))
+        assert proc.returncode == 0, proc.stderr
+        predictions[name] = (tmp_path / name / "predictions.jsonl").read_bytes()
+        recorded = json.loads((tmp_path / name / "config.json").read_text())["noise_seed"]
+        assert recorded == (0 if name == "default" else 5)
+    assert predictions["file"] == predictions["flag"] != predictions["default"]
 
 
 def test_cli_train_empty_split_exits_2(tiny_run_setup, tmp_path):

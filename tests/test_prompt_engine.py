@@ -359,18 +359,24 @@ def test_ablation_no_pca_propagates_unchanged(tiny_vit, tiny_backbone):
 def test_ablation_random_projection_fixed_basis(tiny_vit, tiny_backbone):
     cfg = PromptConfig(tokens=4, instance_tokens=2, retained_dims=3,
                        mode="ablation_random_projection")
-    model = build_model(tiny_vit, cfg, RngState(8).derive("init"), tiny_backbone,
-                        dtype=np.float64)
+    a, b, c = (build_model(tiny_vit, cfg, RngState(seed).derive("init"), tiny_backbone,
+                           dtype=np.float64) for seed in (8, 8, 9))
+    # the basis is drawn once per run from the init seed
+    assert np.array_equal(a.fixed_basis.data, b.fixed_basis.data)
+    assert not np.array_equal(a.fixed_basis.data, c.fixed_basis.data)
     e0 = _tiny_e0(tiny_vit, tiny_backbone, n=2)
-    z = RngState(12).gaussian((2, 2, 8), dtype=np.float64)
-    a, _, _ = forward_viapt(e0, cfg, model.prompts, model.generator, tiny_backbone,
-                            tiny_vit, RngState(5), frozen=FrozenForward(noise=z))
-    b, _, _ = forward_viapt(e0, cfg, model.prompts, model.generator, tiny_backbone,
-                            tiny_vit, RngState(5), frozen=FrozenForward(noise=z))
-    assert np.array_equal(a.data, b.data)  # same run seed -> same fixed basis
-    c, _, _ = forward_viapt(e0, cfg, model.prompts, model.generator, tiny_backbone,
-                            tiny_vit, RngState(6), frozen=FrozenForward(noise=z))
-    assert not np.array_equal(a.data, c.data)  # different run -> different basis
+    frozen = FrozenForward(noise=RngState(12).gaussian((2, 2, 8), dtype=np.float64))
+
+    def logits(basis):
+        out, _, _ = forward_viapt(e0, cfg, a.prompts, a.generator, tiny_backbone, tiny_vit,
+                                  None, frozen=frozen, basis_override=basis)
+        return out.data
+
+    ref = logits(a.fixed_basis.data)
+    assert np.array_equal(logits(b.fixed_basis.data), ref)
+    assert not np.array_equal(logits(c.fixed_basis.data), ref)  # only the basis differs
+    with pytest.raises(ConfigError, match="fixed basis"):
+        logits(None)
 
 
 def test_config_errors_raised_before_compute(tiny_vit, tiny_backbone):
